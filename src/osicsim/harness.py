@@ -125,6 +125,8 @@ class SweepConfig:
             raise ConfigError(f"unknown core {self.core!r}, expected one of {NULLING_CORES}")
         if len(self.snr_db_list) == 0:
             raise ConfigError("snr_db_list must not be empty")
+        if len(set(self.snr_db_list)) < len(self.snr_db_list):
+            raise ConfigError(f"snr_db_list has duplicate points: {list(self.snr_db_list)}")
         if self.min_symbols < MIN_SYMBOLS_FLOOR:
             raise ConfigError(f"min_symbols must be >= {MIN_SYMBOLS_FLOOR}, got {self.min_symbols}")
         if self.min_errors < MIN_ERRORS_FLOOR:

@@ -100,8 +100,17 @@ class CalibrationTable:
             raise CalibrationError("table columns have unequal lengths")
         if len(self.snr_db) == 0:
             raise CalibrationError("calibration table is empty")
+        if not (np.isfinite(self.snr_db).all() and np.isfinite(self.ber).all()):
+            raise CalibrationError("table SNR and BER values must be finite")
         if np.any((self.ber < 0) | (self.ber > 1)):
             raise CalibrationError("table BER values outside [0, 1]")
+        if np.any(self.symbols < 0):
+            raise CalibrationError("table symbol counts must be non-negative")
+        seen = set()
+        for row in zip(self.snr_db.tolist(), self.n_i.tolist()):
+            if row in seen:
+                raise CalibrationError(f"table has duplicate rows for (snr_db, n_i) = {row}")
+            seen.add(row)
 
     # -- lookups ---------------------------------------------------------
 

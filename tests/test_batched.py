@@ -1,15 +1,21 @@
 """Equivalence of the batched Monte Carlo kernels with the scalar detectors.
 
 The scalar implementations are the contract; every batched routine must
-reproduce them instance by instance (same pivots, same ordering, same
-sliced decisions).
+reproduce them instance by instance (same ordering, same sliced
+decisions). The OSIC loop inverts the Gram matrix once and downdates the
+inverse per deflation, so its own accuracy is checked against freshly
+deflated Gram matrices.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import osicsim.batched as batched
 from osicsim.batched import (
     count_bit_errors,
+    downdate_inverse_batch,
     inverse_batch,
     linear_indices_batch,
     ml_indices_batch,
@@ -21,7 +27,7 @@ from osicsim.batched import (
 )
 from osicsim.channel import SnrSpec, gen_channel_batch, gen_noise_batch, make_stream
 from osicsim.detectors import DetectorSpec, linear_detect, ml_candidates, ml_detect, vblast_detect
-from osicsim.linalg import inverse, pinv
+from osicsim.linalg import RankDeficiencyError, inverse, pinv
 from osicsim.modem import QAM16, QPSK, hamming_errors, slice_index
 
 
@@ -145,6 +151,84 @@ class TestVblastBatch:
                 continue
             trace = vblast_detect(h[b], y[b], DetectorSpec("zf", 2), snr, QPSK)
             assert np.array_equal(QPSK.points[idx[b]], trace.symbols)
+
+    @pytest.mark.parametrize("core", ["zf", "mmse"])
+    def test_one_inversion_per_vector(self, core, monkeypatch):
+        sizes = []
+
+        def counting(a):
+            sizes.append(a.shape[0])
+            return inverse_batch(a)
+
+        monkeypatch.setattr(batched, "inverse_batch", counting)
+        snr = SnrSpec(18.0)
+        h, _, _, y = random_batch(66, 48, 8, 8, snr, QAM16)
+        vblast_indices_batch(h, y, core, 7, snr, QAM16)
+        assert sizes == [48]
+
+    # ZF at 15 dB and MMSE at 160 dB (noise variance 1e-16, below the pivot
+    # threshold): a duplicated column makes the Gram matrix singular for both
+    @pytest.mark.parametrize("core, snr_db", [("zf", 15.0), ("mmse", 160.0)])
+    def test_singular_instance_flagged_at_full_depth(self, core, snr_db):
+        snr = SnrSpec(snr_db)
+        h, _, _, y = random_batch(67, 16, 4, 4, snr, QPSK)
+        h[7, :, 3] = h[7, :, 2]  # duplicated column in the last stream
+        idx, orders, ok = vblast_indices_batch(h, y, core, 3, snr, QPSK)
+        assert not ok[7]
+        assert ok[[b for b in range(16) if b != 7]].all()
+        with pytest.raises(RankDeficiencyError):
+            vblast_detect(h[7], y[7], DetectorSpec(core, 3), snr, QPSK)
+        for b in range(16):
+            if b == 7:
+                continue
+            trace = vblast_detect(h[b], y[b], DetectorSpec(core, 3), snr, QPSK)
+            assert list(orders[b]) == trace.order
+            assert np.array_equal(QPSK.points[idx[b]], trace.symbols)
+
+
+class TestDowndateInverse:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        core=st.sampled_from(["zf", "mmse"]),
+        n_t=st.integers(2, 8),
+        extra_rx=st.integers(0, 4),
+    )
+    def test_meets_inverse_contract_at_every_step(self, seed, core, n_t, extra_rx):
+        """Each downdated P satisfies ``||A P - I||_F < 1e-9`` against the
+        freshly deflated Gram A, on every draw inside the domain of that
+        ``linalg.inverse`` contract (condition number below 1e8)."""
+        batch = 32
+        snr = SnrSpec(20.0)
+        h = gen_channel_batch(batch, n_t + extra_rx, n_t, make_stream(seed, 0))
+        reg = 0.0 if core == "zf" else snr.noise_var
+        p, metric, ok = nulling_batch(h, core, snr, gram_inverse=True)
+        assert ok.all()
+        gram = h.conj().transpose(0, 2, 1) @ h + reg * np.eye(n_t)
+        domain = np.linalg.cond(gram) < 1e8
+        cols = [list(range(n_t)) for _ in range(batch)]
+        for n in range(n_t - 1, 0, -1):
+            j = np.argmin(metric, axis=1)
+            p, ok = downdate_inverse_batch(p, j)
+            assert ok.all()
+            assert p.shape == (batch, n, n)
+            for b in range(batch):
+                del cols[b][j[b]]
+                h_b = h[b][:, cols[b]]
+                a = h_b.conj().T @ h_b + reg * np.eye(n)
+                if domain[b]:
+                    assert np.linalg.norm(a @ p[b] - np.eye(n)) < 1e-9, (b, n)
+            metric = np.diagonal(p, axis1=1, axis2=2).real
+
+    def test_bad_pivot_flagged_and_kept_finite(self):
+        p = np.broadcast_to(np.eye(3, dtype=np.complex128), (4, 3, 3)).copy()
+        p[1, 2, 2] = -1.0
+        p[2, 2, 2] = 0.0
+        p[3, 2, 2] = np.nan
+        out, ok = downdate_inverse_batch(p, np.full(4, 2))
+        assert ok.tolist() == [True, False, False, False]
+        assert np.isfinite(out).all()
+        assert np.array_equal(out[0], np.eye(2))
 
 
 class TestMlBatch:

@@ -59,6 +59,10 @@ class TestSweepConfig:
             small_cfg(core="dfe").validate()
         with pytest.raises(ConfigError, match="modulation"):
             small_cfg(modulation="qam64").validate()
+        with pytest.raises(ConfigError, match="duplicate"):
+            small_cfg(snr_db_list=(8.0, 12.0, 8.0)).validate()
+        with pytest.raises(ConfigError, match="duplicate"):
+            calibrate(small_cfg(snr_db_list=(8.0, 8.0), iters_list=None))
 
     def test_link_snr_convention(self):
         # nominal axis derates by 10 log10(n_t) at the link

@@ -1,5 +1,7 @@
 """Tests for iteration policies, calibration tables and SNR estimation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,36 @@ class TestCalibrationTable:
     def test_empty_rejected(self):
         with pytest.raises(CalibrationError):
             CalibrationTable(np.array([]), np.array([]), np.array([]), np.array([]))
+
+    @pytest.mark.parametrize(
+        "bad_row, match",
+        [
+            ((22.0, 1, float("nan"), 1000), "finite"),
+            ((22.0, 1, float("inf"), 1000), "finite"),
+            ((float("nan"), 1, 1e-3, 1000), "finite"),
+            ((20.0, 1, 1e-3, 1000), "duplicate"),
+            ((22.0, 1, 1e-3, -1), "non-negative"),
+        ],
+        ids=["nan-ber", "inf-ber", "nan-snr", "duplicate-row", "negative-symbols"],
+    )
+    def test_bad_rows_rejected(self, tmp_path, bad_row, match):
+        rows = [(20.0, 1, 1e-2, 1000), (30.0, 1, 1e-4, 1000), bad_row]
+        cols = [np.array(c) for c in zip(*rows)]
+        with pytest.raises(CalibrationError, match=match):
+            CalibrationTable(*cols, {"mod": "qam16", "nt": 8, "nr": 8, "core": "mmse"})
+        path = tmp_path / "calib.csv"
+        path.write_text(
+            "# mod=qam16 nt=8 nr=8 core=mmse\nsnr_db,n_i,ber,symbols\n"
+            + "".join(f"{s},{n},{b},{m}\n" for s, n, b, m in rows)
+        )
+        with pytest.raises(CalibrationError, match=match):
+            CalibrationTable.load_csv(path)
+
+    def test_committed_bench_table_loads(self):
+        path = Path(__file__).resolve().parent.parent / "bench" / "calib_8x8_qam16.csv"
+        t = CalibrationTable.load_csv(path)
+        assert len(t.snr_db) == 20
+        t.validate_for("qam16", 8, "mmse")
 
     def test_validate_for_mismatch(self):
         t = synthetic_table()
