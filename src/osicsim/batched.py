@@ -13,7 +13,8 @@ rank-one Schur-complement downdate. Its arithmetic therefore differs from
 the scalar path in rounding; tests pin the two together on detection
 orders and sliced decisions, and pin each downdated ``P`` to the
 ``linalg.inverse`` residual bound against the freshly deflated Gram
-matrix. Gauss-Jordan inversion keeps the scalar pivot rule, and ties in
+matrix wherever a fresh Gauss-Jordan inverse meets that bound itself
+(condition number below 1e6). Gauss-Jordan inversion keeps the scalar pivot rule, and ties in
 the ordering go to the lowest original stream index in both paths.
 
 Instead of raising on a rank-deficient instance, the batched routines
@@ -174,29 +175,26 @@ def vblast_indices_batch(
     out = np.zeros((batch, n_t), dtype=np.int64)
     orders = np.zeros((batch, iterations), dtype=np.int64)
 
-    if iterations == 0:
-        g, _, ok = nulling_batch(h, core, snr)
-    else:
-        # one Gram inversion per vector; each deflation downdates P
-        p, metric, ok = nulling_batch(h, core, snr, gram_inverse=True)
-        for it in range(iterations):
-            j = np.argmin(metric, axis=1)  # first minimum -> lowest original index
-            k = active[rows, j]
-            orders[:, it] = k
-            w = np.einsum("bi,bri->br", p[rows, j], h_cur.conj())  # row j of P H^H
-            z = np.sum(w * y_cur, axis=1)
-            sidx = slice_indices(z, c)
-            out[rows, k] = sidx
-            y_cur = y_cur - h_cur[rows, :, j] * c.points[sidx][:, None]
+    # one Gram inversion per vector; each deflation downdates P
+    p, metric, ok = nulling_batch(h, core, snr, gram_inverse=True)
+    for it in range(iterations):
+        j = np.argmin(metric, axis=1)  # first minimum -> lowest original index
+        k = active[rows, j]
+        orders[:, it] = k
+        w = np.einsum("bi,bri->br", p[rows, j], h_cur.conj())  # row j of P H^H
+        z = np.sum(w * y_cur, axis=1)
+        sidx = slice_indices(z, c)
+        out[rows, k] = sidx
+        y_cur = y_cur - h_cur[rows, :, j] * c.points[sidx][:, None]
 
-            keep = _without(j, h_cur.shape[2])
-            h_cur = np.take_along_axis(h_cur, keep[:, None, :], axis=2)
-            active = np.take_along_axis(active, keep, axis=1)
-            p, ok_d = downdate_inverse_batch(p, j)
-            ok &= ok_d
-            metric = np.diagonal(p, axis1=1, axis2=2).real
-        g = p @ h_cur.conj().transpose(0, 2, 1)
+        keep = _without(j, h_cur.shape[2])
+        h_cur = np.take_along_axis(h_cur, keep[:, None, :], axis=2)
+        active = np.take_along_axis(active, keep, axis=1)
+        p, ok_d = downdate_inverse_batch(p, j)
+        ok &= ok_d
+        metric = np.diagonal(p, axis1=1, axis2=2).real
 
+    g = p @ h_cur.conj().transpose(0, 2, 1)
     z = np.einsum("bij,bj->bi", g, y_cur)
     np.put_along_axis(out, active, slice_indices(z, c), axis=1)
     return out, orders, ok

