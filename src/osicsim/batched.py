@@ -14,8 +14,15 @@ the scalar path in rounding; tests pin the two together on detection
 orders and sliced decisions, and pin each downdated ``P`` to the
 ``linalg.inverse`` residual bound against the freshly deflated Gram
 matrix wherever a fresh Gauss-Jordan inverse meets that bound itself
-(condition number below 1e6). Gauss-Jordan inversion keeps the scalar pivot rule, and ties in
-the ordering go to the lowest original stream index in both paths.
+(condition number below 1e6). Ties in the ordering go to the lowest
+original stream index in both paths.
+
+:func:`inverse_batch` eliminates in place on the ``(batch, n, n)`` stack
+rather than on an augmented ``[A | I]`` copy, with the scalar pivot rule;
+every entry it returns takes the same floating-point operations as in
+``linalg.inverse``, so the two agree exactly. A detected stream leaves
+``H`` and both axes of ``P`` through one flat-offset ``np.take`` per
+array, a pure copy.
 
 Instead of raising on a rank-deficient instance, the batched routines
 return a boolean validity mask so the harness can redraw the offending
@@ -43,29 +50,39 @@ def inverse_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pivot fell below the singularity threshold; their output is garbage
     and must be discarded by the caller.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    batch, n, m = a.shape
+    a = np.array(a, dtype=np.complex128)  # a copy: eliminated in place
+    _, n, m = a.shape
     if n != m:
         raise ValueError(f"inverse requires square matrices, got {n}x{m}")
     tol = PIVOT_RTOL * np.max(np.abs(a), axis=(1, 2))
     ok = tol > 0.0
 
-    aug = np.concatenate([a, np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape)], axis=2).copy()
-    rows = np.arange(batch)
+    # Gauss-Jordan on ``a`` itself instead of the augmented ``[A | I]``: the
+    # augmented form never reads column k of ``A`` after step k, and the
+    # identity column it fills at step k is zero outside row k, so column k
+    # of ``a`` stores that column of the inverse. Every stored entry takes
+    # the same floating-point operations as in the augmented form. The
+    # identity columns follow the row swaps, which the last loop undoes.
+    pivots = []
     for k in range(n):
-        p = k + np.argmax(np.abs(aug[:, k:, k]), axis=1)
-        rk = aug[rows, k].copy()
-        aug[rows, k] = aug[rows, p]
-        aug[rows, p] = rk
-        piv = aug[:, k, k]
+        p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        swap = np.flatnonzero(p != k)
+        a[swap, k], a[swap, p[swap]] = a[swap, p[swap]], a[swap, k]
+        pivots.append((swap, p[swap]))
+        piv = a[:, k, k]
         bad = np.abs(piv) < tol
         ok &= ~bad
         piv = np.where(ok, piv, 1.0)  # keep dead instances finite
-        aug[:, k, :] = aug[:, k, :] / piv[:, None]
-        col = aug[:, :, k].copy()
+        col = a[:, :, k].copy()
         col[:, k] = 0.0
-        aug -= col[:, :, None] * aug[:, k:k + 1, :]
-    return np.ascontiguousarray(aug[:, :, n:]), ok
+        a[:, :, k] = 0.0
+        a[:, k, k] = 1.0
+        a[:, k, :] /= piv[:, None]
+        a -= col[:, :, None] * a[:, k:k + 1, :]
+    for k in range(n - 1, -1, -1):  # row swaps of A are column swaps of A^-1
+        swap, p = pivots[k]
+        a[swap, :, k], a[swap, :, p] = a[swap, :, p], a[swap, :, k]
+    return a, ok
 
 
 def pinv_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,8 +119,18 @@ def nulling_batch(
 
 def _without(j: np.ndarray, n: int) -> np.ndarray:
     """Per-row ascending indices ``0..n-1`` with ``j[b]`` left out, shape ``(batch, n-1)``."""
-    grid = np.broadcast_to(np.arange(n), (j.shape[0], n))
-    return grid[grid != j[:, None]].reshape(j.shape[0], n - 1)
+    r = np.arange(n - 1)
+    return r + (r >= j[:, None])
+
+
+def _gather(x: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``out[b, i, k] = x[b, r[b, i], c[b, k]]`` for a stack ``x`` of shape ``(batch, m, n)``.
+
+    One ``np.take`` at flat offsets ``(b m + r) n + c``: a pure copy.
+    """
+    batch, m, n = x.shape
+    at = ((np.arange(batch) * m)[:, None] + r) * n
+    return np.take(x, at[:, :, None] + c[:, None, :])
 
 
 def downdate_inverse_batch(p: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,10 +150,11 @@ def downdate_inverse_batch(p: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np
     ok = np.isfinite(piv) & (piv.real > 0.0)
     piv = np.where(ok, piv, 1.0)  # keep dead instances finite
     keep = _without(j, n)
-    col = np.take_along_axis(p[rows, :, j], keep, axis=1)
-    row = np.take_along_axis(p[rows, j, :], keep, axis=1) / piv[:, None]
-    sub = p[rows[:, None, None], keep[:, :, None], keep[:, None, :]]
-    return sub - col[:, :, None] * row[:, None, :], ok
+    col = _gather(p, keep, j[:, None])[:, :, 0]
+    row = _gather(p, j[:, None], keep)[:, 0] / piv[:, None]
+    sub = _gather(p, keep, keep)
+    sub -= col[:, :, None] * row[:, None, :]
+    return sub, ok
 
 
 def slice_indices(z: np.ndarray, c: Constellation) -> np.ndarray:
@@ -188,7 +216,7 @@ def vblast_indices_batch(
         y_cur = y_cur - h_cur[rows, :, j] * c.points[sidx][:, None]
 
         keep = _without(j, h_cur.shape[2])
-        h_cur = np.take_along_axis(h_cur, keep[:, None, :], axis=2)
+        h_cur = _gather(h_cur, np.arange(n_r)[None, :], keep)
         active = np.take_along_axis(active, keep, axis=1)
         p, ok_d = downdate_inverse_batch(p, j)
         ok &= ok_d

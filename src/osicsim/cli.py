@@ -13,13 +13,16 @@ Subcommands wrap the Monte Carlo harness:
 Configuration precedence is CLI flag > config-file key > built-in default.
 Config files are flat ``key = value`` text; unknown keys are hard errors.
 Every data-producing run writes a JSON manifest recording the fully
-resolved configuration, tool version and RNG scheme; ``rerun`` replays a
-manifest and reproduces every non-timing output byte. The
+resolved configuration, tool version and RNG scheme, plus the absolute
+path and SHA-256 of any calibration table the run read; ``rerun`` replays
+a manifest from any directory, refuses a calibration table whose hash has
+changed, and reproduces every non-timing output byte. The
 ``OSIC_BENCH_WORKERS`` environment variable overrides the worker count.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from datetime import datetime, timezone
@@ -170,13 +173,22 @@ def _sweep_config(resolved: dict, iters_list=None, policy=None) -> SweepConfig:
     ).validate()
 
 
-def _load_table(resolved: dict) -> CalibrationTable:
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _load_table(resolved: dict) -> tuple[CalibrationTable, dict]:
+    """The ``--calib`` table and its manifest record (absolute path, SHA-256)."""
     if not resolved.get("calib"):
         raise click.UsageError("this command needs --calib FILE (a table written by 'calibrate')")
-    return CalibrationTable.load_csv(resolved["calib"])
+    path = Path(resolved["calib"]).resolve()
+    record = {"path": str(path), "sha256": _sha256(path)}
+    return CalibrationTable.load_csv(path), record
 
 
-def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs: list[str]) -> Path:
+def _write_manifest(
+    out_dir: Path, command: str, resolved: dict, outputs: list[str], calib: dict | None
+) -> Path:
     manifest = {
         "tool": "osicsim",
         "version": __version__,
@@ -187,6 +199,8 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, outputs: list[s
         "config": resolved,
         "outputs": outputs,
     }
+    if calib is not None:
+        manifest["calib"] = calib
     path = out_dir / f"{command.replace('-', '_')}_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -215,6 +229,7 @@ def _execute(command: str, resolved: dict, out_dir: Path, emit_plot: bool) -> li
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
     plot_rows = None
+    calib = None
 
     if command in ("ber-sweep", "iter-sweep"):
         detector = resolved["detector"]
@@ -231,7 +246,7 @@ def _execute(command: str, resolved: dict, out_dir: Path, emit_plot: bool) -> li
                 policy = IterationPolicy("fixed", fixed_n=n, target_ber=resolved["target_ber"])
             else:
                 policy = IterationPolicy(kind, target_ber=resolved["target_ber"])
-            table = _load_table(resolved) if kind == "feedback" else None
+            table, calib = _load_table(resolved) if kind == "feedback" else (None, None)
             cfg = _sweep_config(resolved, policy=policy)
             points = run_ber_sweep(cfg, table)
         else:
@@ -255,7 +270,7 @@ def _execute(command: str, resolved: dict, out_dir: Path, emit_plot: bool) -> li
         ]
 
     elif command == "compare":
-        table = _load_table(resolved)
+        table, calib = _load_table(resolved)
         cfg = _sweep_config(resolved)
         points = compare_policies(cfg, table)
         (out_dir / "compare.csv").write_text(format_ber_csv(points, cfg, command))
@@ -263,7 +278,7 @@ def _execute(command: str, resolved: dict, out_dir: Path, emit_plot: bool) -> li
         plot_rows = _plot_rows_from_points(points)
 
     elif command == "bench":
-        table = _load_table(resolved)
+        table, calib = _load_table(resolved)
         cfg = _sweep_config(resolved)
         report = bench_complexity(cfg, table)
         (out_dir / "bench.csv").write_text(format_bench_csv(report, cfg))
@@ -277,7 +292,7 @@ def _execute(command: str, resolved: dict, out_dir: Path, emit_plot: bool) -> li
 
     if emit_plot and plot_rows is not None:
         outputs.append(_write_plot_file(out_dir, command, resolved, plot_rows))
-    manifest = _write_manifest(out_dir, command, resolved, outputs)
+    manifest = _write_manifest(out_dir, command, resolved, outputs, calib)
     click.echo(f"wrote {', '.join(outputs)} and {manifest.name} to {out_dir}")
     return outputs
 
@@ -387,8 +402,20 @@ def rerun(manifest, out):
         data = json.loads(Path(manifest).read_text())
         command = data["command"]
         resolved = data["config"]
+        calib = data.get("calib")
     except (OSError, KeyError, json.JSONDecodeError) as exc:
         raise click.ClickException(f"cannot load manifest: {exc}") from None
+    if calib is not None:
+        try:
+            path, recorded = Path(calib["path"]), calib["sha256"]
+            actual = _sha256(path)
+        except (OSError, KeyError, TypeError) as exc:
+            raise click.ClickException(f"cannot check calibration table: {exc}") from None
+        if actual != recorded:
+            raise click.ClickException(
+                f"calibration table {path} has SHA-256 {actual}, but the manifest recorded {recorded}"
+            )
+        resolved["calib"] = str(path)
     out_dir = Path(out) if out else Path(manifest).parent
     emit_plot = bool(resolved.get("emit_plot", False))
     try:

@@ -27,7 +27,7 @@ from osicsim.batched import (
 )
 from osicsim.channel import SnrSpec, gen_channel_batch, gen_noise_batch, make_stream
 from osicsim.detectors import DetectorSpec, linear_detect, ml_candidates, ml_detect, vblast_detect
-from osicsim.linalg import RankDeficiencyError, inverse, pinv
+from osicsim.linalg import RankDeficiencyError, SingularMatrixError, inverse, pinv
 from osicsim.modem import QAM16, QPSK, hamming_errors, slice_index
 
 
@@ -39,6 +39,23 @@ def random_batch(seed, batch, n_r, n_t, snr, c):
     noise = gen_noise_batch(batch, n_r, snr.noise_var, rng)
     y = transmit_batch(h, x, noise)
     return h, idx, x, y
+
+
+def downdate_reference(p, j):
+    """Gather-based downdate: the survivor indices of each instance, then
+    ``take_along_axis`` and a three-index gather. ``downdate_inverse_batch``
+    must return exactly these values."""
+    batch, n, _ = p.shape
+    rows = np.arange(batch)
+    piv = p[rows, j, j]
+    ok = np.isfinite(piv) & (piv.real > 0.0)
+    piv = np.where(ok, piv, 1.0)
+    grid = np.broadcast_to(np.arange(n), (batch, n))
+    keep = grid[grid != j[:, None]].reshape(batch, n - 1)
+    col = np.take_along_axis(p[rows, :, j], keep, axis=1)
+    row = np.take_along_axis(p[rows, j, :], keep, axis=1) / piv[:, None]
+    sub = p[rows[:, None, None], keep[:, :, None], keep[:, None, :]]
+    return sub - col[:, :, None] * row[:, None, :], ok
 
 
 class TestInverseBatch:
@@ -65,6 +82,27 @@ class TestInverseBatch:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             inverse_batch(np.zeros((2, 3, 4)))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("kind", ["gram", "general"])
+    def test_equals_scalar_exactly(self, n, kind):
+        """Same pivot rule, same floating-point operations per entry: equal
+        values, on instances with and without row swaps, next to dead ones."""
+        a = gen_channel_batch(64, n, n, make_stream(70 + n, 0))
+        if kind == "gram":
+            a = a.conj().transpose(0, 2, 1) @ a
+        a[3] = 0.0
+        a[5, :, n - 1] = a[5, :, 0]  # duplicated column
+        swapped = np.argmax(np.abs(a[:, :, 0]), axis=1) != 0
+        assert swapped.any() and not swapped.all()
+        inv, ok = inverse_batch(a)
+        assert ok.tolist() == [b not in (3, 5) for b in range(64)]
+        for b in range(64):
+            if ok[b]:
+                assert np.array_equal(inv[b], inverse(a[b])), b
+            else:
+                with pytest.raises(SingularMatrixError):
+                    inverse(a[b])
 
 
 class TestPinvBatch:
@@ -224,6 +262,23 @@ class TestDowndateInverse:
                 if domain[b]:
                     assert np.linalg.norm(a @ p[b] - np.eye(n)) < 1e-9, (b, n)
             metric = np.diagonal(p, axis1=1, axis2=2).real
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_equals_gather_reference_exactly(self, n):
+        rng = np.random.default_rng(80 + n)
+        h = gen_channel_batch(256, n + 1, n, make_stream(80 + n, 0))
+        p, _, ok = nulling_batch(h, "mmse", SnrSpec(20.0), gram_inverse=True)
+        assert ok.all()
+        p[:3, 0, 0] = [-1.0, 0.0, np.nan]  # bad pivots where j = 0
+        j = rng.integers(0, n, 256)
+        j[:3] = 0
+        while p.shape[1] > 1:
+            got, ok_got = downdate_inverse_batch(p, j)
+            want, ok_want = downdate_reference(p, j)
+            assert np.array_equal(ok_got, ok_want)
+            assert np.array_equal(got, want)
+            p = want
+            j = rng.integers(0, p.shape[1], 256)
 
     def test_bad_pivot_flagged_and_kept_finite(self):
         p = np.broadcast_to(np.eye(3, dtype=np.complex128), (4, 3, 3)).copy()

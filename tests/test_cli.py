@@ -1,5 +1,6 @@
 """Tests for the command-line front end: precedence, manifests, reruns."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -218,6 +219,52 @@ class TestManifestRerun:
         assert res.exit_code == 0
         for name in ("calibrate.csv", "calibrate_derived.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @staticmethod
+    def _write_table(path, ber):
+        from osicsim.policy import CalibrationTable
+
+        CalibrationTable(
+            [8.0, 8.0, 14.0, 14.0], [1, 2, 1, 2], ber, [10_000] * 4,
+            {"mod": "qpsk", "nt": 4, "nr": 4, "core": "mmse"},
+        ).save_csv(path)
+
+    def _feedback_run(self, tmp_path, monkeypatch):
+        """A feedback-policy sweep started in ``tmp_path`` with a relative ``--calib`` path."""
+        self._write_table(tmp_path / "table.csv", [2e-2, 5e-3, 1e-3, 1e-4])
+        monkeypatch.chdir(tmp_path)
+        res = run_cli([
+            "ber-sweep", *FAST, "--policy", "feedback", "--target-ber", "1e-2",
+            "--calib", "table.csv", "--out", "first",
+        ])
+        assert res.exit_code == 0
+        return tmp_path / "first" / "ber_sweep_manifest.json"
+
+    def test_rerun_resolves_calib_from_another_directory(self, tmp_path, monkeypatch):
+        manifest = self._feedback_run(tmp_path, monkeypatch)
+        calib = json.loads(manifest.read_text())["calib"]
+        table = tmp_path / "table.csv"
+        assert calib["path"] == str(table.resolve())
+        assert calib["sha256"] == hashlib.sha256(table.read_bytes()).hexdigest()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        res = run_cli(["rerun", str(manifest), "--out", "second"])
+        assert res.exit_code == 0, res.output
+        assert non_timing_lines(tmp_path / "first" / "ber_sweep.csv") == non_timing_lines(
+            elsewhere / "second" / "ber_sweep.csv"
+        )
+
+    def test_rerun_refuses_changed_calib(self, tmp_path, monkeypatch):
+        manifest = self._feedback_run(tmp_path, monkeypatch)
+        recorded = json.loads(manifest.read_text())["calib"]["sha256"]
+        self._write_table(tmp_path / "table.csv", [2e-2, 2e-2, 1e-3, 1e-4])
+        actual = hashlib.sha256((tmp_path / "table.csv").read_bytes()).hexdigest()
+        assert actual != recorded
+        res = CliRunner().invoke(main, ["rerun", str(manifest), "--out", str(tmp_path / "second")])
+        assert res.exit_code != 0
+        assert recorded in res.output and actual in res.output
+        assert not (tmp_path / "second").exists()
 
     def test_worker_count_does_not_change_counts(self, tmp_path):
         a = tmp_path / "w1"

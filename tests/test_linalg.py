@@ -8,6 +8,7 @@ and inversion residuals act as their own oracles.
 import numpy as np
 import pytest
 
+from osicsim.batched import inverse_batch
 from osicsim.linalg import (
     RankDeficiencyError,
     SingularMatrixError,
@@ -21,6 +22,22 @@ from osicsim.linalg import (
 
 def rand_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def gram_with_condition(rng, n, cond, count):
+    """``count`` Hermitian ``H^H H`` of condition number ``cond``: ``H = U diag(s) V^H``
+    with random unitary ``U``, ``V`` and singular values from 1 down to ``cond**-0.5``."""
+
+    def unitary():
+        q, r = np.linalg.qr(rand_complex(rng, n, n))
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    s = np.geomspace(1.0, cond**-0.5, n)
+    out = []
+    for _ in range(count):
+        h = (unitary() * s) @ unitary().conj().T
+        out.append(h.conj().T @ h)
+    return np.stack(out)
 
 
 def naive_matmul(a, b):
@@ -124,6 +141,19 @@ class TestInverse:
                 continue
             res = np.linalg.norm(a @ inverse(a) - np.eye(4))
             assert res < 1e-9
+
+    @pytest.mark.parametrize("impl", ["inverse", "inverse_batch"])
+    def test_residual_on_8x8_gram_at_condition_1e6(self, impl):
+        """The documented domain's edge, on the matrices the detectors invert."""
+        a = gram_with_condition(np.random.default_rng(7), 8, 1e6, 100)
+        assert np.allclose(np.linalg.cond(a), 1e6, rtol=1e-3)
+        if impl == "inverse":
+            inv = np.stack([inverse(x) for x in a])
+        else:
+            inv, ok = inverse_batch(a)
+            assert ok.all()
+        residual = np.linalg.norm(a @ inv - np.eye(8), axis=(1, 2))
+        assert residual.max() < 1e-9, residual.max()
 
     def test_singular_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
