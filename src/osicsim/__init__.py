@@ -10,7 +10,7 @@ complexity benchmarks.
 __version__ = "0.1.0"
 
 from .channel import ChannelRealization, SnrSpec, gen_channel, gen_noise, link_snr, make_stream, transmit
-from .detectors import DetectionTrace, DetectorSpec, linear_detect, ml_detect, nulling_matrix, vblast_detect
+from .detectors import DetectionTrace, DetectorSpec, ml_detect, nulling_matrix, vblast_detect
 from .harness import BenchReport, BerPoint, SweepConfig, bench_complexity, calibrate, compare_policies, run_ber_sweep
 from .modem import QAM16, QPSK, Constellation, demodulate, get_constellation, hamming_errors, modulate
 from .policy import (
@@ -26,7 +26,7 @@ from .policy import (
 __all__ = [
     "__version__",
     "ChannelRealization", "SnrSpec", "gen_channel", "gen_noise", "link_snr", "make_stream", "transmit",
-    "DetectionTrace", "DetectorSpec", "linear_detect", "ml_detect", "nulling_matrix", "vblast_detect",
+    "DetectionTrace", "DetectorSpec", "ml_detect", "nulling_matrix", "vblast_detect",
     "BenchReport", "BerPoint", "SweepConfig", "bench_complexity", "calibrate", "compare_policies", "run_ber_sweep",
     "QAM16", "QPSK", "Constellation", "demodulate", "get_constellation", "hamming_errors", "modulate",
     "CalibrationTable", "IterationPolicy", "SnrEstimate", "estimate_snr", "feedback_iters", "formula_iters", "n_imax",

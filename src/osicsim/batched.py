@@ -5,16 +5,19 @@ Internal module. Each function computes what its scalar counterpart in
 channel instances, which is what makes desk-scale BER sweeps take seconds
 instead of hours. The scalar implementations remain the public contract.
 
-The OSIC loop of :func:`vblast_indices_batch` does not recompute like the
-scalar receiver does: it inverts the regularized Gram matrix
-``P = (H^H H + lambda I)^-1`` once per vector (lambda = 0 for ZF, the
-noise variance for MMSE) and removes each detected stream from ``P`` by a
-rank-one Schur-complement downdate. Its arithmetic therefore differs from
-the scalar path in rounding; tests pin the two together on detection
-orders and sliced decisions, and pin each downdated ``P`` to the
-``linalg.inverse`` residual bound against the freshly deflated Gram
-matrix wherever a fresh Gauss-Jordan inverse meets that bound itself
-(condition number below 1e6). Ties in the ordering go to the lowest
+The scalar and batched paths share one nulling formula for both cores:
+the regularized Gram inverse ``P = (H^H H + lambda I)^-1`` with lambda = 0
+for ZF and the noise variance for MMSE, ordering metric ``diag P`` and
+nulling matrix ``G = P H^H``. :func:`nulling_batch` returns ``P`` itself
+rather than ``G``: the OSIC loop of :func:`vblast_indices_batch` does not
+recompute like the scalar receiver does, but inverts once per vector and
+removes each detected stream from ``P`` by a rank-one Schur-complement
+downdate. Its arithmetic therefore differs from the scalar path in
+rounding; tests pin the two together on detection orders and sliced
+decisions, and pin each downdated ``P`` to the ``linalg.inverse``
+residual bound against the freshly deflated Gram matrix wherever a fresh
+Gauss-Jordan inverse meets that bound itself (condition number below
+1e6). Ties in the ordering go to the lowest
 original stream index in both paths.
 
 :func:`inverse_batch` eliminates in place on the ``(batch, n, n)`` stack
@@ -85,36 +88,18 @@ def inverse_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, ok
 
 
-def pinv_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normal-equation pseudo-inverse of a stack of full-column-rank matrices."""
-    a = np.asarray(a, dtype=np.complex128)
-    ah = a.conj().transpose(0, 2, 1)
-    gram_inv, ok = inverse_batch(ah @ a)
-    return gram_inv @ ah, ok
+def nulling_batch(h: np.ndarray, core: str, snr: SnrSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched regularized Gram inverse and ordering metric; see ``detectors.nulling_matrix``.
 
-
-def nulling_batch(
-    h: np.ndarray, core: str, snr: SnrSpec, *, gram_inverse: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched nulling matrix and ordering metric; see ``detectors.nulling_matrix``.
-
-    With ``gram_inverse=True`` the first element is the regularized Gram
-    inverse ``P = (H^H H + lambda I)^-1`` (lambda = 0 for ZF, the noise
-    variance for MMSE) instead of ``G = P H^H``, and the metric is
-    ``diag P`` for both cores: for ZF that is the square of the row-norm
-    metric, so its argmin is the same.
+    Returns ``(P, diag P, ok)`` with ``P = (H^H H + lambda I)^-1``
+    (lambda = 0 for ZF, the noise variance for MMSE); the nulling matrix
+    is ``G = P H^H``.
     """
     if core not in ("zf", "mmse"):
         raise ValueError(f"unknown nulling core {core!r}")
-    if core == "zf" and not gram_inverse:
-        g, ok = pinv_batch(h)
-        metric = np.sqrt(np.sum(np.abs(g) ** 2, axis=2))
-        return g, metric, ok
     reg = snr.noise_var if core == "mmse" else 0.0
-    ah = h.conj().transpose(0, 2, 1)
-    p, ok = inverse_batch(ah @ h + np.eye(h.shape[2]) * reg)
-    metric = np.diagonal(p, axis1=1, axis2=2).real.copy()
-    return (p if gram_inverse else p @ ah), metric, ok
+    p, ok = inverse_batch(h.conj().transpose(0, 2, 1) @ h + np.eye(h.shape[2]) * reg)
+    return p, np.diagonal(p, axis1=1, axis2=2).real.copy(), ok
 
 
 def _without(j: np.ndarray, n: int) -> np.ndarray:
@@ -167,15 +152,6 @@ def transmit_batch(h: np.ndarray, x: np.ndarray, noise: np.ndarray) -> np.ndarra
     return np.einsum("bij,bj->bi", h, x) + noise
 
 
-def linear_indices_batch(
-    h: np.ndarray, y: np.ndarray, core: str, snr: SnrSpec, c: Constellation
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched linear detection, returning point indices and a validity mask."""
-    g, _, ok = nulling_batch(h, core, snr)
-    z = np.einsum("bij,bj->bi", g, y)
-    return slice_indices(z, c), ok
-
-
 def vblast_indices_batch(
     h: np.ndarray,
     y: np.ndarray,
@@ -204,7 +180,7 @@ def vblast_indices_batch(
     orders = np.zeros((batch, iterations), dtype=np.int64)
 
     # one Gram inversion per vector; each deflation downdates P
-    p, metric, ok = nulling_batch(h, core, snr, gram_inverse=True)
+    p, metric, ok = nulling_batch(h, core, snr)
     for it in range(iterations):
         j = np.argmin(metric, axis=1)  # first minimum -> lowest original index
         k = active[rows, j]

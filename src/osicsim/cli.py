@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from datetime import datetime, timezone
 from pathlib import Path
@@ -96,6 +97,8 @@ def _parse_snr_list(text: str) -> list[float]:
         if len(parts) != 3:
             raise click.UsageError(f"snr range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise click.UsageError(f"snr range bounds and step must be finite, got {text!r}")
         if step <= 0:
             raise click.UsageError("snr range step must be positive")
         out = []
@@ -338,8 +341,7 @@ def main():
 @click.pass_context
 def ber_sweep(ctx, **_kw):
     """BER vs SNR for one detector configuration."""
-    resolved = _resolve(ctx, _parse_config_file(ctx.params["config"]) if ctx.params["config"] else {})
-    _run_guarded("ber-sweep", resolved, ctx)
+    _run_guarded("ber-sweep", ctx)
 
 
 @main.command("iter-sweep")
@@ -347,8 +349,7 @@ def ber_sweep(ctx, **_kw):
 @click.pass_context
 def iter_sweep(ctx, **_kw):
     """BER vs SNR for every V-BLAST iteration count 0 .. nt-1."""
-    resolved = _resolve(ctx, _parse_config_file(ctx.params["config"]) if ctx.params["config"] else {})
-    _run_guarded("iter-sweep", resolved, ctx)
+    _run_guarded("iter-sweep", ctx)
 
 
 @main.command("calibrate")
@@ -356,8 +357,7 @@ def iter_sweep(ctx, **_kw):
 @click.pass_context
 def calibrate_cmd(ctx, **_kw):
     """Measure the (SNR, N_i) BER grid and derive required iteration counts."""
-    resolved = _resolve(ctx, _parse_config_file(ctx.params["config"]) if ctx.params["config"] else {})
-    _run_guarded("calibrate", resolved, ctx)
+    _run_guarded("calibrate", ctx)
 
 
 @main.command("compare")
@@ -366,8 +366,7 @@ def calibrate_cmd(ctx, **_kw):
 @click.pass_context
 def compare_cmd(ctx, **_kw):
     """Formula vs feedback vs ordinary V-BLAST on shared draws."""
-    resolved = _resolve(ctx, _parse_config_file(ctx.params["config"]) if ctx.params["config"] else {})
-    _run_guarded("compare", resolved, ctx)
+    _run_guarded("compare", ctx)
 
 
 @main.command("bench")
@@ -378,8 +377,7 @@ def compare_cmd(ctx, **_kw):
 @click.pass_context
 def bench_cmd(ctx, **_kw):
     """Average per-detection execution time of each detector variant."""
-    resolved = _resolve(ctx, _parse_config_file(ctx.params["config"]) if ctx.params["config"] else {})
-    _run_guarded("bench", resolved, ctx)
+    _run_guarded("bench", ctx)
 
 
 @main.command("formula-eval")
@@ -424,7 +422,10 @@ def rerun(manifest, out):
         raise click.ClickException(str(exc)) from None
 
 
-def _run_guarded(command: str, resolved: dict, ctx: click.Context) -> None:
+def _run_guarded(command: str, ctx: click.Context) -> None:
+    """Resolve a subcommand's configuration and run it; any failure exits with a one-line error."""
+    config = ctx.params["config"]
+    resolved = _resolve(ctx, _parse_config_file(config) if config else {})
     resolved["emit_plot"] = bool(ctx.params.get("emit_plot"))
     out_dir = Path(ctx.params.get("out") or ".")
     try:

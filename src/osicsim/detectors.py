@@ -1,4 +1,5 @@
-"""MIMO detectors: ZF/MMSE linear, the OSIC V-BLAST loop, and an ML oracle.
+"""MIMO detectors: the OSIC V-BLAST loop (linear detection at zero
+iterations) and an ML oracle.
 
 The V-BLAST detector runs a configurable number of
 ordering/nulling/slicing/cancellation iterations and then detects the
@@ -6,23 +7,26 @@ remaining streams jointly with the linear core. ``iterations = 0``
 degenerates to the pure linear detector; ``iterations = n_t - 1`` is the
 ordinary full V-BLAST.
 
-Per iteration, on the current deflated channel ``H_i``:
+Both cores share one nulling formula. Per iteration, on the current
+deflated channel ``H_i``:
 
-* ordering: pick the undetected stream with the smallest metric, where the
-  metric is the row norm of ``G = pinv(H_i)`` for the ZF core and the real
-  diagonal of ``D = (H_i^H H_i + I * noise_var)^-1`` for the MMSE core
-  (``G = D H_i^H``); ties go to the lowest original stream index;
-* nulling: ``z = g_k . y_i`` with ``g_k`` the chosen row of ``G``;
+* ordering: ``D = (H_i^H H_i + lambda I)^-1`` with ``lambda = 0`` for the
+  ZF core and ``lambda = noise_var`` for the MMSE core; pick the
+  undetected stream with the smallest real diagonal entry of ``D``
+  (ties go to the lowest original stream index). For ZF, ``G = D H_i^H``
+  is the pseudo-inverse of ``H_i`` and ``diag D`` holds its squared row
+  norms, so the order is that of the row norms;
+* nulling: ``z = g_k . y_i`` with ``g_k`` the chosen row of ``G = D H_i^H``;
 * slicing: quantize ``z`` to the nearest constellation point;
 * cancellation: subtract the sliced symbol's channel column from ``y_i``
   and remove that column from ``H_i``.
 
 Cancellation removes the detected column physically (with an index map
 back to original stream order) rather than zeroing it: a zeroed column
-would make the deflated matrix rank deficient and the pseudo-inverse
-undefined. The nulling matrix is recomputed from scratch on every
-deflation; no rank-one update shortcuts are used, so measured cost scales
-the way the recomputing algorithm is specified to.
+would make the deflated Gram matrix singular. The nulling matrix is
+recomputed from scratch on every deflation; no rank-one update shortcuts
+are used, so measured cost scales the way the recomputing algorithm is
+specified to.
 """
 
 from __future__ import annotations
@@ -33,15 +37,8 @@ from itertools import product
 import numpy as np
 
 from .channel import SnrSpec
-from .linalg import (
-    RankDeficiencyError,
-    SingularMatrixError,
-    hermitian,
-    inverse,
-    pinv,
-    row_norms,
-)
-from .modem import Constellation, slice_index, slice_symbol
+from .linalg import RankDeficiencyError, SingularMatrixError, inverse
+from .modem import Constellation, slice_symbol
 
 NULLING_CORES = ("zf", "mmse")
 
@@ -72,44 +69,32 @@ class DetectionTrace:
     """Detection output plus the per-iteration bookkeeping of the OSIC loop."""
 
     order: list[int] = field(default_factory=list)
-    z_values: list[complex] = field(default_factory=list)
     symbols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.complex128))
 
 
 def nulling_matrix(h, core: str, snr: SnrSpec):
     """Nulling matrix ``G`` and the stream-ordering metric for one channel.
 
-    ZF: ``G = pinv(h)``, metric = row norms of ``G`` (smaller = stronger
-    stream). MMSE: ``D = (h^H h + I * noise_var)^-1``, ``G = D h^H``,
-    metric = real diagonal of ``D``. The imaginary part of ``diag(D)`` is
-    discarded; ``D`` is Hermitian in exact arithmetic.
+    ``D = (h^H h + lambda I)^-1`` with ``lambda = 0`` for ZF and
+    ``lambda = noise_var`` for MMSE; ``G = D h^H`` and the metric is the
+    real diagonal of ``D`` (smaller = stronger stream). For ZF, ``G`` is
+    the pseudo-inverse of ``h`` and ``diag D`` holds the squared row norms
+    of ``G``. The imaginary part of ``diag(D)`` is discarded; ``D`` is
+    Hermitian in exact arithmetic.
 
-    Raises :class:`RankDeficiencyError` when ``h`` lacks full column rank.
+    Raises :class:`RankDeficiencyError` when the (regularized) Gram matrix
+    is singular, as it is for a ZF channel without full column rank.
     """
+    if core not in NULLING_CORES:
+        raise ValueError(f"unknown nulling core {core!r}, expected one of {NULLING_CORES}")
     h = np.asarray(h, dtype=np.complex128)
-    if core == "zf":
-        g = pinv(h)
-        return g, row_norms(g)
-    if core == "mmse":
-        hh = hermitian(h)
-        n_t = h.shape[1]
-        try:
-            d = inverse(hh @ h + np.eye(n_t) * snr.noise_var)
-        except SingularMatrixError as exc:
-            raise RankDeficiencyError(f"regularized Gram matrix is singular: {exc}") from exc
-        return d @ hh, np.diag(d).real.copy()
-    raise ValueError(f"unknown nulling core {core!r}, expected one of {NULLING_CORES}")
-
-
-def linear_detect(h, y, core: str, snr: SnrSpec, c: Constellation) -> np.ndarray:
-    """One-shot linear detection: slice every entry of ``G @ y``."""
-    h = np.asarray(h, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    if y.size != h.shape[0]:
-        raise ValueError(f"dimension mismatch: y has {y.size} entries, channel has {h.shape[0]} rows")
-    g, _ = nulling_matrix(h, core, snr)
-    z = g @ y
-    return np.array([slice_symbol(zi, c) for zi in z], dtype=np.complex128)
+    hh = h.conj().T
+    reg = snr.noise_var if core == "mmse" else 0.0
+    try:
+        d = inverse(hh @ h + np.eye(h.shape[1]) * reg)
+    except SingularMatrixError as exc:
+        raise RankDeficiencyError(f"regularized Gram matrix is singular: {exc}") from exc
+    return d @ hh, np.diag(d).real.copy()
 
 
 def vblast_detect(h, y, spec: DetectorSpec, snr: SnrSpec, c: Constellation) -> DetectionTrace:
@@ -139,7 +124,6 @@ def vblast_detect(h, y, spec: DetectorSpec, snr: SnrSpec, c: Constellation) -> D
         z = complex(g[j] @ y_cur)
         s = slice_symbol(z, c)
         trace.order.append(k)
-        trace.z_values.append(z)
         trace.symbols[k] = s
         y_cur = y_cur - h_cur[:, j] * s
         h_cur = np.delete(h_cur, j, axis=1)

@@ -57,6 +57,7 @@ from .policy import (
     CalibrationTable,
     IterationPolicy,
     SnrEstimate,
+    check_target_ber,
     decide_iterations,
     estimate_snr,
     feedback_detect,
@@ -125,6 +126,8 @@ class SweepConfig:
             raise ConfigError(f"unknown core {self.core!r}, expected one of {NULLING_CORES}")
         if len(self.snr_db_list) == 0:
             raise ConfigError("snr_db_list must not be empty")
+        if not all(math.isfinite(s) for s in self.snr_db_list):
+            raise ConfigError(f"snr_db_list entries must be finite, got {list(self.snr_db_list)}")
         if len(set(self.snr_db_list)) < len(self.snr_db_list):
             raise ConfigError(f"snr_db_list has duplicate points: {list(self.snr_db_list)}")
         if self.min_symbols < MIN_SYMBOLS_FLOOR:
@@ -143,8 +146,10 @@ class SweepConfig:
                     raise ConfigError(f"iterations {n} outside [0, {self.n_t - 1}] (n_t = {self.n_t})")
         if self.bench_detections < 100:
             raise ConfigError(f"bench_detections must be >= 100, got {self.bench_detections}")
-        if not (0.0 < self.target_ber <= 1.0):
-            raise ConfigError(f"target_ber must lie in (0, 1], got {self.target_ber}")
+        try:
+            check_target_ber(self.target_ber)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return self
 
 

@@ -46,6 +46,13 @@ class CalibrationError(ValueError):
     """Raised for empty, incomplete or mismatched calibration tables."""
 
 
+def check_target_ber(target_ber: float) -> None:
+    """Raise ``ValueError`` unless ``0 < target_ber < 0.5``, the one domain of
+    every target BER (0.5 is the BER of a coin toss)."""
+    if not (0.0 < target_ber < 0.5):
+        raise ValueError(f"target_ber must lie in (0, 0.5), got {target_ber}")
+
+
 def n_imax(n_t: int) -> int:
     """Largest useful iteration count: ``floor(n_t / 2)``.
 
@@ -65,6 +72,8 @@ def formula_iters(snr_db: float, n_t: int) -> int:
     """Closed-form iteration count for the operating SNR (nominal dB axis)."""
     if n_t < 2:
         raise ValueError(f"formula_iters needs n_t >= 2, got {n_t}")
+    if not math.isfinite(snr_db):
+        raise ValueError(f"formula_iters needs a finite SNR, got {snr_db}")
     return min(n_imax(n_t), max(1, _round_half_away((53.0 - 2.0 * snr_db) / 3.0)))
 
 
@@ -287,8 +296,7 @@ class IterationPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "fixed" and self.fixed_n is None:
             raise ValueError("fixed policy needs an iteration count")
-        if not (0.0 < self.target_ber < 0.5):
-            raise ValueError(f"target_ber must lie in (0, 0.5), got {self.target_ber}")
+        check_target_ber(self.target_ber)
 
 
 def decide_iterations(

@@ -17,17 +17,15 @@ from osicsim.batched import (
     count_bit_errors,
     downdate_inverse_batch,
     inverse_batch,
-    linear_indices_batch,
     ml_indices_batch,
     nulling_batch,
-    pinv_batch,
     slice_indices,
     transmit_batch,
     vblast_indices_batch,
 )
 from osicsim.channel import SnrSpec, gen_channel_batch, gen_noise_batch, make_stream
-from osicsim.detectors import DetectorSpec, linear_detect, ml_candidates, ml_detect, vblast_detect
-from osicsim.linalg import RankDeficiencyError, SingularMatrixError, inverse, pinv
+from osicsim.detectors import DetectorSpec, ml_candidates, ml_detect, nulling_matrix, vblast_detect
+from osicsim.linalg import RankDeficiencyError, SingularMatrixError, inverse
 from osicsim.modem import QAM16, QPSK, hamming_errors, slice_index
 
 
@@ -105,26 +103,15 @@ class TestInverseBatch:
                     inverse(a[b])
 
 
-class TestPinvBatch:
-    def test_matches_scalar(self):
-        rng = make_stream(52, 0)
-        a = gen_channel_batch(32, 6, 4, rng)
-        p, ok = pinv_batch(a)
-        assert ok.all()
-        for b in range(32):
-            assert np.allclose(p[b], pinv(a[b]), atol=1e-12, rtol=1e-10)
-
-
 class TestNullingBatch:
     @pytest.mark.parametrize("core", ["zf", "mmse"])
     def test_matches_scalar(self, core):
-        from osicsim.detectors import nulling_matrix
-
         rng = make_stream(53, 0)
         snr = SnrSpec(14.0)
         h = gen_channel_batch(32, 4, 4, rng)
-        g, metric, ok = nulling_batch(h, core, snr)
+        p, metric, ok = nulling_batch(h, core, snr)
         assert ok.all()
+        g = p @ h.conj().transpose(0, 2, 1)
         for b in range(32):
             g_s, m_s = nulling_matrix(h[b], core, snr)
             assert np.allclose(g[b], g_s, atol=1e-12, rtol=1e-10)
@@ -142,15 +129,17 @@ class TestSliceIndices:
 
 
 class TestLinearBatch:
+    """Linear detection is V-BLAST with zero iterations, in both paths."""
+
     @pytest.mark.parametrize("core", ["zf", "mmse"])
     @pytest.mark.parametrize("c", [QPSK, QAM16], ids=["qpsk", "qam16"])
     def test_matches_scalar(self, core, c):
         snr = SnrSpec(12.0)
         h, _, _, y = random_batch(60, 128, 4, 4, snr, c)
-        idx, ok = linear_indices_batch(h, y, core, snr, c)
+        idx, _, ok = vblast_indices_batch(h, y, core, 0, snr, c)
         assert ok.all()
         for b in range(128):
-            scalar = linear_detect(h[b], y[b], core, snr, c)
+            scalar = vblast_detect(h[b], y[b], DetectorSpec(core, 0), snr, c).symbols
             assert np.array_equal(c.points[idx[b]], scalar)
 
 
@@ -244,7 +233,7 @@ class TestDowndateInverse:
         snr = SnrSpec(20.0)
         h = gen_channel_batch(batch, n_t + extra_rx, n_t, make_stream(seed, 0))
         reg = 0.0 if core == "zf" else snr.noise_var
-        p, metric, ok = nulling_batch(h, core, snr, gram_inverse=True)
+        p, metric, ok = nulling_batch(h, core, snr)
         assert ok.all()
         gram = h.conj().transpose(0, 2, 1) @ h + reg * np.eye(n_t)
         domain = np.linalg.cond(gram) < 1e6
@@ -267,7 +256,7 @@ class TestDowndateInverse:
     def test_equals_gather_reference_exactly(self, n):
         rng = np.random.default_rng(80 + n)
         h = gen_channel_batch(256, n + 1, n, make_stream(80 + n, 0))
-        p, _, ok = nulling_batch(h, "mmse", SnrSpec(20.0), gram_inverse=True)
+        p, _, ok = nulling_batch(h, "mmse", SnrSpec(20.0))
         assert ok.all()
         p[:3, 0, 0] = [-1.0, 0.0, np.nan]  # bad pivots where j = 0
         j = rng.integers(0, n, 256)

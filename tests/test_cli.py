@@ -292,3 +292,31 @@ class TestHelpCoverage:
         out = run_cli(["--help"]).output
         for cmd in ["ber-sweep", "iter-sweep", "calibrate", "bench", "compare", "formula-eval", "rerun"]:
             assert cmd in out
+
+
+class TestBoundaryValues:
+    """Values no run can use are refused before any simulation starts."""
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "inf", "8,nan"])
+    def test_ber_sweep_rejects_non_finite_snr(self, tmp_path, snr):
+        res = CliRunner().invoke(main, ["ber-sweep", *FAST, f"--snr={snr}", "--out", str(tmp_path)])
+        assert res.exit_code != 0
+        assert "snr_db_list entries must be finite" in res.output
+
+    def test_snr_range_rejects_non_finite_bound(self, tmp_path):
+        res = CliRunner().invoke(main, ["ber-sweep", *FAST, "--snr", "0:inf:2", "--out", str(tmp_path)])
+        assert res.exit_code != 0
+        assert "must be finite" in res.output
+
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+    def test_formula_eval_rejects_non_finite_snr(self, snr):
+        res = CliRunner().invoke(main, ["formula-eval", f"--snr={snr}"])
+        assert res.exit_code != 0
+        assert "finite SNR" in res.output
+
+    @pytest.mark.parametrize("command", [["calibrate"], ["ber-sweep", "--policy", "formula"]])
+    @pytest.mark.parametrize("target", ["0.7", "0.5"])
+    def test_target_ber_has_one_domain(self, tmp_path, command, target):
+        res = CliRunner().invoke(main, [*command, *FAST, "--target-ber", target, "--out", str(tmp_path)])
+        assert res.exit_code != 0
+        assert "target_ber must lie in (0, 0.5)" in res.output
