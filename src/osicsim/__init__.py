@@ -9,7 +9,7 @@ complexity benchmarks.
 
 __version__ = "0.1.0"
 
-from .channel import ChannelRealization, SnrSpec, gen_channel, gen_noise, link_snr, make_stream, transmit
+from .channel import SnrSpec, link_snr, make_stream
 from .detectors import DetectionTrace, DetectorSpec, ml_detect, nulling_matrix, vblast_detect
 from .harness import BenchReport, BerPoint, SweepConfig, bench_complexity, calibrate, compare_policies, run_ber_sweep
 from .modem import QAM16, QPSK, Constellation, demodulate, get_constellation, hamming_errors, modulate
@@ -25,7 +25,7 @@ from .policy import (
 
 __all__ = [
     "__version__",
-    "ChannelRealization", "SnrSpec", "gen_channel", "gen_noise", "link_snr", "make_stream", "transmit",
+    "SnrSpec", "link_snr", "make_stream",
     "DetectionTrace", "DetectorSpec", "ml_detect", "nulling_matrix", "vblast_detect",
     "BenchReport", "BerPoint", "SweepConfig", "bench_complexity", "calibrate", "compare_policies", "run_ber_sweep",
     "QAM16", "QPSK", "Constellation", "demodulate", "get_constellation", "hamming_errors", "modulate",

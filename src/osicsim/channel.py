@@ -46,14 +46,6 @@ class SnrSpec:
         return 1.0 / self.snr_linear
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One flat-fading MIMO channel draw for subcarrier ``subcarrier``."""
-
-    h: np.ndarray
-    subcarrier: int = 0
-
-
 def link_snr(snr_db: float, n_t: int) -> SnrSpec:
     """Per-stream link spec for a nominal operating SNR.
 
@@ -103,30 +95,15 @@ def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     return scale * (z[..., 0] + 1j * z[..., 1])
 
 
-def gen_channel(n_r: int, n_t: int, rng: np.random.Generator, subcarrier: int = 0) -> ChannelRealization:
-    """Draw an ``n_r x n_t`` Rayleigh channel: entries i.i.d. CN(0, 1).
+def gen_channel_batch(count: int, n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` independent ``n_r x n_t`` Rayleigh draws, shape ``(count, n_r, n_t)``.
 
-    Requires ``n_r >= n_t >= 1`` so the detectors can separate all streams.
+    Entries are i.i.d. CN(0, 1). Requires ``n_r >= n_t >= 1`` so the
+    detectors can separate all streams.
     """
     if not (n_r >= n_t >= 1):
         raise ValueError(f"invalid dimensions: need n_r >= n_t >= 1, got n_r={n_r}, n_t={n_t}")
-    return ChannelRealization(complex_normal(rng, (n_r, n_t), 1.0), subcarrier)
-
-
-def gen_channel_batch(count: int, n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` independent channel draws, shape ``(count, n_r, n_t)``."""
-    if not (n_r >= n_t >= 1):
-        raise ValueError(f"invalid dimensions: need n_r >= n_t >= 1, got n_r={n_r}, n_t={n_t}")
     return complex_normal(rng, (count, n_r, n_t), 1.0)
-
-
-def gen_noise(n_r: int, noise_var: float, rng: np.random.Generator) -> np.ndarray:
-    """AWGN vector of length ``n_r`` with per-entry variance ``noise_var``."""
-    if noise_var < 0:
-        raise ValueError(f"noise variance must be non-negative, got {noise_var}")
-    if noise_var == 0:
-        return np.zeros(n_r, dtype=np.complex128)
-    return complex_normal(rng, (n_r,), noise_var)
 
 
 def gen_noise_batch(count: int, n_r: int, noise_var: float, rng: np.random.Generator) -> np.ndarray:
@@ -141,18 +118,3 @@ def gen_noise_batch(count: int, n_r: int, noise_var: float, rng: np.random.Gener
 def random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
     """Uniform payload bits as a uint8 array."""
     return rng.integers(0, 2, count, dtype=np.uint8)
-
-
-def transmit(h, x, noise) -> np.ndarray:
-    """Received vector ``h @ x + noise`` for one channel use."""
-    if isinstance(h, ChannelRealization):
-        h = h.h
-    h = np.asarray(h, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    noise = np.asarray(noise, dtype=np.complex128).ravel()
-    n_r, n_t = h.shape
-    if x.size != n_t:
-        raise ValueError(f"dimension mismatch: channel expects {n_t} transmit symbols, got {x.size}")
-    if noise.size != n_r:
-        raise ValueError(f"dimension mismatch: channel produces {n_r} outputs, noise has {noise.size}")
-    return h @ x + noise

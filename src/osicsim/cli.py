@@ -10,8 +10,13 @@ Subcommands wrap the Monte Carlo harness:
 * ``formula-eval`` print the formula policy's count for one SNR
 * ``rerun``       re-execute a previous run from its manifest
 
-Configuration precedence is CLI flag > config-file key > built-in default.
-Config files are flat ``key = value`` text; unknown keys are hard errors.
+Every config key is one row of ``OPTIONS`` (default, type, help), and the
+five Monte Carlo commands are the rows of ``COMMANDS``. The flags are
+generated from ``OPTIONS``; config-file values and a manifest's config are
+checked against the same types and choices by ``_coerce``, so an unknown
+key, a value of the wrong type or one outside its choices is refused
+wherever it comes from. Configuration precedence is CLI flag > config-file
+key > built-in default. Config files are flat ``key = value`` text.
 Every data-producing run writes a JSON manifest recording the fully
 resolved configuration, tool version and RNG scheme, plus the absolute
 path and SHA-256 of any calibration table the run read; ``rerun`` replays
@@ -28,6 +33,7 @@ import math
 import os
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import click
 
@@ -45,47 +51,36 @@ from .harness import (
 )
 from .policy import CalibrationTable, IterationPolicy, formula_iters
 
-DEFAULTS = {
-    "nt": 8,
-    "nr": 8,
-    "subcarriers": 64,
-    "mod": "qam16",
-    "core": "mmse",
-    "detector": "vblast",
-    "policy": "fixed",
-    "iters": None,  # fixed-policy count; defaults to nt - 1 at execution
-    "snr": "16:34:2",
-    "seed": 1,
-    "min_symbols": 10_000,
-    "min_errors": 100,
-    "workers": 1,
-    "snr_est": "genie",
-    "target_ber": 1e-2,
-    "calib": None,
-    "pilot_uses": 128,
-    "bench_detections": 10_000,
-}
 
-_CASTS = {
-    "nt": int,
-    "nr": int,
-    "subcarriers": int,
-    "mod": str,
-    "core": str,
-    "detector": str,
-    "policy": str,
-    "iters": int,
-    "snr": str,
-    "seed": int,
-    "min_symbols": int,
-    "min_errors": int,
-    "workers": int,
-    "snr_est": str,
-    "target_ber": float,
-    "calib": str,
-    "pilot_uses": int,
-    "bench_detections": int,
+class Option(NamedTuple):
+    """One config key: its default, its type (a cast, or a tuple of the allowed strings) and its help."""
+
+    default: object
+    type: type | tuple[str, ...]
+    help: str
+
+
+OPTIONS = {
+    "seed": Option(1, int, "RNG seed."),
+    "nt": Option(8, int, "Transmit antennas."),
+    "nr": Option(8, int, "Receive antennas."),
+    "subcarriers": Option(64, int, "Independent subcarriers K."),
+    "mod": Option("qam16", ("qpsk", "qam16"), "Modulation."),
+    "core": Option("mmse", ("zf", "mmse"), "Nulling core."),
+    "snr": Option("16:34:2", str, "SNR list: '16,20,24' or start:stop:step."),
+    "min_symbols": Option(10_000, int, "Minimum symbols per point."),
+    "min_errors": Option(100, int, "Minimum bit errors per point."),
+    "workers": Option(1, int, "Monte Carlo worker processes."),
+    "snr_est": Option("genie", ("genie", "pilot"), "SNR knowledge at the receiver."),
+    "pilot_uses": Option(128, int, "Pilot channel uses per estimate."),
+    "target_ber": Option(1e-2, float, "Target BER for policies/calibration."),
+    "detector": Option("vblast", ("zf", "mmse", "vblast"), "Detector family."),
+    "policy": Option("fixed", ("fixed", "formula", "feedback"), "Iteration policy for vblast."),
+    "iters": Option(None, int, "Iteration count for the fixed policy [default: nt-1]."),
+    "calib": Option(None, str, "Calibration table CSV written by 'calibrate' (compare, bench, feedback policy)."),
+    "bench_detections": Option(10_000, int, "Timed detections per variant per SNR."),
 }
+DEFAULTS = {key: option.default for key, option in OPTIONS.items()}
 
 _PLOT_PRESETS = {"iter-sweep": {4: "fig2", 8: "fig3", 16: "fig4"}, "calibrate": {8: "fig6a"}, "compare": {8: "fig7"}}
 
@@ -113,6 +108,35 @@ def _parse_snr_list(text: str) -> list[float]:
         raise click.UsageError(f"cannot parse snr list {text!r}") from None
 
 
+def _coerce(key: str, value, where: str):
+    """``value`` for config key ``key`` read from ``where``, checked against its ``OPTIONS`` row.
+
+    Text (a config-file value) is parsed with the row's cast; any other
+    value (from a manifest) must already have the row's type, except that
+    an integer is accepted for a float. ``None`` is accepted only for a
+    key whose default is ``None``.
+    """
+    if key not in OPTIONS:
+        raise click.UsageError(f"{where}: unknown config key {key!r}")
+    option = OPTIONS[key]
+    if value is None and option.default is None:
+        return None
+    if isinstance(option.type, tuple):
+        if isinstance(value, str) and value in option.type:
+            return value
+        expected = "one of " + ", ".join(option.type)
+    else:
+        if isinstance(value, str):
+            try:
+                return option.type(value)
+            except ValueError:
+                pass
+        elif type(value) is option.type or (option.type is float and type(value) is int):
+            return option.type(value)
+        expected = {int: "an integer", float: "a number", str: "a string"}[option.type]
+    raise click.UsageError(f"{where}: bad value for {key!r}: {value!r} (expected {expected})")
+
+
 def _parse_config_file(path: str) -> dict:
     values = {}
     try:
@@ -126,20 +150,30 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise click.UsageError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
-            raise click.UsageError(f"{path}:{ln}: unknown config key {key!r}")
-        try:
-            values[key] = _CASTS[key](value)
-        except ValueError:
-            raise click.UsageError(f"{path}:{ln}: bad value for {key!r}: {value!r}") from None
+        values[key] = _coerce(key, value, f"{path}:{ln}")
     return values
 
 
-def _resolve(ctx: click.Context, file_cfg: dict) -> dict:
+def _manifest_config(config, where: str) -> dict:
+    """A manifest's resolved config, with every ``OPTIONS`` key present and checked."""
+    if not isinstance(config, dict):
+        raise click.UsageError(f"{where}: config must be a JSON object")
+    missing = [key for key in OPTIONS if key not in config]
+    if missing:
+        raise click.UsageError(f"{where}: config lacks key(s) {', '.join(map(repr, missing))}")
+    emit_plot = config.get("emit_plot", False)
+    if not isinstance(emit_plot, bool):
+        raise click.UsageError(f"{where}: bad value for 'emit_plot': {emit_plot!r} (expected true or false)")
+    resolved = {key: _coerce(key, value, where) for key, value in config.items() if key != "emit_plot"}
+    resolved["emit_plot"] = emit_plot
+    return resolved
+
+
+def _resolve(params: dict, file_cfg: dict) -> dict:
     """Merge flag > file > default into one plain dict."""
     resolved = {}
     for key, default in DEFAULTS.items():
-        flag = ctx.params.get(key.replace("-", "_"))
+        flag = params.get(key)
         if flag is not None:
             resolved[key] = flag
         elif key in file_cfg:
@@ -220,108 +254,105 @@ def _write_plot_file(out_dir: Path, command: str, resolved: dict, rows) -> str:
     return name
 
 
-def _plot_rows_from_points(points) -> list:
-    return [
-        (p.policy if p.policy != "fixed" else f"n_i={p.n_i}", p.snr_db, p.ber)
-        for p in points
-    ]
+# A command's runner returns (output files as {name: text}, plot rows or
+# None, the calibration-table record or None).
+Result = tuple[dict[str, str], list | None, dict | None]
 
 
-def _execute(command: str, resolved: dict, out_dir: Path, emit_plot: bool) -> list[str]:
-    """Run one subcommand from a fully resolved config; returns output names."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
-    plot_rows = None
-    calib = None
+def _ber_result(command: str, cfg: SweepConfig, points, calib: dict | None = None) -> Result:
+    files = {f"{command.replace('-', '_')}.csv": format_ber_csv(points, cfg, command)}
+    plot_rows = [(p.policy if p.policy != "fixed" else f"n_i={p.n_i}", p.snr_db, p.ber) for p in points]
+    return files, plot_rows, calib
 
-    if command in ("ber-sweep", "iter-sweep"):
-        detector = resolved["detector"]
-        if command == "iter-sweep":
-            cfg = _sweep_config(resolved, iters_list=tuple(range(0, resolved["nt"])))
-            points = run_ber_sweep(cfg)
-        elif detector in ("zf", "mmse"):
-            cfg = _sweep_config(resolved)
-            points = run_linear_sweep(cfg, detector)
-        elif detector == "vblast":
-            kind = resolved["policy"]
-            if kind == "fixed":
-                n = resolved["iters"] if resolved["iters"] is not None else resolved["nt"] - 1
-                policy = IterationPolicy("fixed", fixed_n=n, target_ber=resolved["target_ber"])
-            else:
-                policy = IterationPolicy(kind, target_ber=resolved["target_ber"])
-            table, calib = _load_table(resolved) if kind == "feedback" else (None, None)
-            cfg = _sweep_config(resolved, policy=policy)
-            points = run_ber_sweep(cfg, table)
-        else:
-            raise click.UsageError(f"unknown detector {detector!r}, expected zf, mmse or vblast")
-        name = f"{command.replace('-', '_')}.csv"
-        (out_dir / name).write_text(format_ber_csv(points, cfg, command))
-        outputs.append(name)
-        plot_rows = _plot_rows_from_points(points)
 
-    elif command == "calibrate":
-        cfg = _sweep_config(resolved)
-        table, derived = calibrate(cfg, resolved["target_ber"])
-        table.save_csv(out_dir / "calibrate.csv")
-        outputs.append("calibrate.csv")
-        lines = [f"# target_ber={resolved['target_ber']:g}", "snr_db,required_n_i"]
-        lines += [f"{snr:g},{n}" for snr, n in derived]
-        (out_dir / "calibrate_derived.csv").write_text("\n".join(lines) + "\n")
-        outputs.append("calibrate_derived.csv")
-        plot_rows = [
-            (f"n_i={n}", s, b) for s, n, b in zip(table.snr_db, table.n_i, table.ber)
-        ]
-
-    elif command == "compare":
-        table, calib = _load_table(resolved)
-        cfg = _sweep_config(resolved)
-        points = compare_policies(cfg, table)
-        (out_dir / "compare.csv").write_text(format_ber_csv(points, cfg, command))
-        outputs.append("compare.csv")
-        plot_rows = _plot_rows_from_points(points)
-
-    elif command == "bench":
-        table, calib = _load_table(resolved)
-        cfg = _sweep_config(resolved)
-        report = bench_complexity(cfg, table)
-        (out_dir / "bench.csv").write_text(format_bench_csv(report, cfg))
-        (out_dir / "bench_summary.csv").write_text(format_bench_summary_csv(report))
-        outputs += ["bench.csv", "bench_summary.csv"]
-        for name, mean_ns, ratio in report.summary:
-            click.echo(f"{name:12s} {mean_ns:12.0f} ns/detection  {ratio:6.1f}%")
-
+def _ber_sweep(resolved: dict) -> Result:
+    detector = resolved["detector"]
+    if detector != "vblast":
+        # a linear run nulls with the detector itself, so its CSV header names that core
+        cfg = _sweep_config({**resolved, "core": detector})
+        return _ber_result("ber-sweep", cfg, run_linear_sweep(cfg, detector))
+    kind = resolved["policy"]
+    if kind == "fixed":
+        n = resolved["iters"] if resolved["iters"] is not None else resolved["nt"] - 1
+        policy = IterationPolicy("fixed", fixed_n=n, target_ber=resolved["target_ber"])
     else:
-        raise click.UsageError(f"unknown command {command!r}")
+        policy = IterationPolicy(kind, target_ber=resolved["target_ber"])
+    table, calib = _load_table(resolved) if kind == "feedback" else (None, None)
+    cfg = _sweep_config(resolved, policy=policy)
+    return _ber_result("ber-sweep", cfg, run_ber_sweep(cfg, table), calib)
 
-    if emit_plot and plot_rows is not None:
-        outputs.append(_write_plot_file(out_dir, command, resolved, plot_rows))
-    manifest = _write_manifest(out_dir, command, resolved, outputs, calib)
+
+def _iter_sweep(resolved: dict) -> Result:
+    cfg = _sweep_config(resolved, iters_list=tuple(range(0, resolved["nt"])))
+    return _ber_result("iter-sweep", cfg, run_ber_sweep(cfg))
+
+
+def _calibrate(resolved: dict) -> Result:
+    cfg = _sweep_config(resolved)
+    table, derived = calibrate(cfg, resolved["target_ber"])
+    lines = [f"# target_ber={resolved['target_ber']:g}", "snr_db,required_n_i"]
+    lines += [f"{snr:g},{n}" for snr, n in derived]
+    files = {"calibrate.csv": table.to_csv(), "calibrate_derived.csv": "\n".join(lines) + "\n"}
+    return files, [(f"n_i={n}", s, b) for s, n, b in zip(table.snr_db, table.n_i, table.ber)], None
+
+
+def _compare(resolved: dict) -> Result:
+    table, calib = _load_table(resolved)
+    cfg = _sweep_config(resolved)
+    return _ber_result("compare", cfg, compare_policies(cfg, table), calib)
+
+
+def _bench(resolved: dict) -> Result:
+    table, calib = _load_table(resolved)
+    cfg = _sweep_config(resolved)
+    report = bench_complexity(cfg, table)
+    for name, mean_ns, ratio in report.summary:
+        click.echo(f"{name:12s} {mean_ns:12.0f} ns/detection  {ratio:6.1f}%")
+    files = {"bench.csv": format_bench_csv(report, cfg), "bench_summary.csv": format_bench_summary_csv(report)}
+    return files, None, calib
+
+
+class Command(NamedTuple):
+    """One Monte Carlo command: its runner, its keys beyond the common ones, and its help."""
+
+    run: Callable[[dict], Result]
+    extra: tuple[str, ...]
+    help: str
+
+
+COMMANDS = {
+    "ber-sweep": Command(
+        _ber_sweep, ("detector", "policy", "iters", "calib"), "BER vs SNR for one detector configuration."
+    ),
+    "iter-sweep": Command(_iter_sweep, (), "BER vs SNR for every V-BLAST iteration count 0 .. nt-1."),
+    "calibrate": Command(_calibrate, (), "Measure the (SNR, N_i) BER grid and derive required iteration counts."),
+    "compare": Command(_compare, ("calib",), "Formula vs feedback vs ordinary V-BLAST on shared draws."),
+    "bench": Command(
+        _bench, ("calib", "bench_detections"), "Average per-detection execution time of each detector variant."
+    ),
+}
+_COMMON_KEYS = [key for key in OPTIONS if not any(key in c.extra for c in COMMANDS.values())]
+
+
+def _execute(command: str, resolved: dict, out_dir: Path) -> None:
+    """Run one command from a fully resolved config and write its outputs and manifest.
+
+    Any failure exits with a one-line error.
+    """
+    try:
+        files, plot_rows, calib = COMMANDS[command].run(resolved)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text)
+        outputs = list(files)
+        if resolved["emit_plot"] and plot_rows is not None:
+            outputs.append(_write_plot_file(out_dir, command, resolved, plot_rows))
+        manifest = _write_manifest(out_dir, command, resolved, outputs, calib)
+    except click.ClickException:
+        raise
+    except Exception as exc:
+        raise click.ClickException(str(exc)) from None
     click.echo(f"wrote {', '.join(outputs)} and {manifest.name} to {out_dir}")
-    return outputs
-
-
-def _common_options(f):
-    options = [
-        click.option("--config", type=click.Path(), default=None, help="Flat key = value config file."),
-        click.option("--out", type=click.Path(), default=".", show_default=True, help="Output directory."),
-        click.option("--seed", type=int, default=None, help=f"RNG seed [default: {DEFAULTS['seed']}]."),
-        click.option("--nt", type=int, default=None, help=f"Transmit antennas [default: {DEFAULTS['nt']}]."),
-        click.option("--nr", type=int, default=None, help=f"Receive antennas [default: {DEFAULTS['nr']}]."),
-        click.option("--subcarriers", type=int, default=None, help=f"Independent subcarriers K [default: {DEFAULTS['subcarriers']}]."),
-        click.option("--mod", type=click.Choice(["qpsk", "qam16"]), default=None, help=f"Modulation [default: {DEFAULTS['mod']}]."),
-        click.option("--core", type=click.Choice(["zf", "mmse"]), default=None, help=f"Nulling core [default: {DEFAULTS['core']}]."),
-        click.option("--snr", default=None, help=f"SNR list: '16,20,24' or start:stop:step [default: {DEFAULTS['snr']}]."),
-        click.option("--min-symbols", "min_symbols", type=int, default=None, help="Minimum symbols per point."),
-        click.option("--min-errors", "min_errors", type=int, default=None, help="Minimum bit errors per point."),
-        click.option("--workers", type=int, default=None, help="Monte Carlo worker processes."),
-        click.option("--snr-est", "snr_est", type=click.Choice(["genie", "pilot"]), default=None, help="SNR knowledge at the receiver."),
-        click.option("--pilot-uses", "pilot_uses", type=int, default=None, help="Pilot channel uses per estimate."),
-        click.option("--target-ber", "target_ber", type=float, default=None, help="Target BER for policies/calibration."),
-        click.option("--emit-plot", is_flag=True, default=False, help="Also write a long-format plot data file."),
-    ]
-    for opt in reversed(options):
-        f = opt(f)
-    return f
 
 
 @click.group()
@@ -330,54 +361,37 @@ def main():
     """Link-level Monte Carlo simulator for truncated V-BLAST detection."""
 
 
-@main.command("ber-sweep")
-@_common_options
-@click.option("--detector", type=click.Choice(["zf", "mmse", "vblast"]), default=None,
-              help=f"Detector family [default: {DEFAULTS['detector']}].")
-@click.option("--policy", type=click.Choice(["fixed", "formula", "feedback"]), default=None,
-              help=f"Iteration policy for vblast [default: {DEFAULTS['policy']}].")
-@click.option("--iters", type=int, default=None, help="Iteration count for the fixed policy [default: nt-1].")
-@click.option("--calib", type=click.Path(), default=None, help="Calibration table CSV (feedback policy).")
-@click.pass_context
-def ber_sweep(ctx, **_kw):
-    """BER vs SNR for one detector configuration."""
-    _run_guarded("ber-sweep", ctx)
+def _flag(key: str):
+    option = OPTIONS[key]
+    kind = click.Choice(option.type) if isinstance(option.type, tuple) else option.type
+    shown = "" if option.default is None else f" [default: {option.default}]"
+    return click.option(f"--{key.replace('_', '-')}", key, type=kind, default=None, help=option.help + shown)
 
 
-@main.command("iter-sweep")
-@_common_options
-@click.pass_context
-def iter_sweep(ctx, **_kw):
-    """BER vs SNR for every V-BLAST iteration count 0 .. nt-1."""
-    _run_guarded("iter-sweep", ctx)
+def _register(name: str, command: Command) -> None:
+    """Add ``name`` to ``main`` with the common flags and the command's extra ones."""
+
+    @click.pass_context
+    def run(ctx: click.Context, **_flags) -> None:
+        params = ctx.params
+        resolved = _resolve(params, _parse_config_file(params["config"]) if params["config"] else {})
+        resolved["emit_plot"] = params["emit_plot"]
+        _execute(name, resolved, Path(params["out"]))
+
+    options = [
+        click.option("--config", type=click.Path(), default=None, help="Flat key = value config file."),
+        click.option("--out", type=click.Path(), default=".", show_default=True, help="Output directory."),
+        *map(_flag, _COMMON_KEYS),
+        click.option("--emit-plot", is_flag=True, default=False, help="Also write a long-format plot data file."),
+        *map(_flag, command.extra),
+    ]
+    for option in reversed(options):
+        run = option(run)
+    main.command(name, help=command.help)(run)
 
 
-@main.command("calibrate")
-@_common_options
-@click.pass_context
-def calibrate_cmd(ctx, **_kw):
-    """Measure the (SNR, N_i) BER grid and derive required iteration counts."""
-    _run_guarded("calibrate", ctx)
-
-
-@main.command("compare")
-@_common_options
-@click.option("--calib", type=click.Path(), default=None, help="Calibration table CSV (required).")
-@click.pass_context
-def compare_cmd(ctx, **_kw):
-    """Formula vs feedback vs ordinary V-BLAST on shared draws."""
-    _run_guarded("compare", ctx)
-
-
-@main.command("bench")
-@_common_options
-@click.option("--calib", type=click.Path(), default=None, help="Calibration table CSV (required).")
-@click.option("--bench-detections", "bench_detections", type=int, default=None,
-              help=f"Timed detections per variant per SNR [default: {DEFAULTS['bench_detections']}].")
-@click.pass_context
-def bench_cmd(ctx, **_kw):
-    """Average per-detection execution time of each detector variant."""
-    _run_guarded("bench", ctx)
+for _name, _command in COMMANDS.items():
+    _register(_name, _command)
 
 
 @main.command("formula-eval")
@@ -398,11 +412,13 @@ def rerun(manifest, out):
     """Re-execute a previous run from its manifest file."""
     try:
         data = json.loads(Path(manifest).read_text())
-        command = data["command"]
-        resolved = data["config"]
-        calib = data.get("calib")
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+        command, config = data["command"], data["config"]
+    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise click.ClickException(f"cannot load manifest: {exc}") from None
+    if command not in COMMANDS:
+        raise click.ClickException(f"{manifest}: unknown command {command!r}")
+    resolved = _manifest_config(config, manifest)
+    calib = data.get("calib")
     if calib is not None:
         try:
             path, recorded = Path(calib["path"]), calib["sha256"]
@@ -414,26 +430,7 @@ def rerun(manifest, out):
                 f"calibration table {path} has SHA-256 {actual}, but the manifest recorded {recorded}"
             )
         resolved["calib"] = str(path)
-    out_dir = Path(out) if out else Path(manifest).parent
-    emit_plot = bool(resolved.get("emit_plot", False))
-    try:
-        _execute(command, resolved, out_dir, emit_plot)
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from None
-
-
-def _run_guarded(command: str, ctx: click.Context) -> None:
-    """Resolve a subcommand's configuration and run it; any failure exits with a one-line error."""
-    config = ctx.params["config"]
-    resolved = _resolve(ctx, _parse_config_file(config) if config else {})
-    resolved["emit_plot"] = bool(ctx.params.get("emit_plot"))
-    out_dir = Path(ctx.params.get("out") or ".")
-    try:
-        _execute(command, resolved, out_dir, resolved["emit_plot"])
-    except click.ClickException:
-        raise
-    except Exception as exc:
-        raise click.ClickException(str(exc)) from None
+    _execute(command, resolved, Path(out) if out else Path(manifest).parent)
 
 
 if __name__ == "__main__":

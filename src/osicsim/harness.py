@@ -81,7 +81,6 @@ MIN_ERRORS_FLOOR = 100
 SYMBOL_BUDGET_FACTOR = 100
 
 BENCH_WARMUP_CALLS = 100
-TIMER_MIN_TICKS = 100  # ns; below this, inner-loop batching kicks in
 
 
 class ConfigError(ValueError):
@@ -334,11 +333,12 @@ def _point_estimate(cfg: SweepConfig, snr_db: float, point_index: int) -> SnrEst
 def run_ber_sweep(cfg: SweepConfig, table: CalibrationTable | None = None) -> list[BerPoint]:
     """Measure BER for every (SNR, variant) cell of the configuration.
 
-    Variants come from ``cfg.iters_list`` (tag ``fixed``, or ``zf``/``mmse``
-    for a pure linear run when the list is ``[0]`` with that core) or from
-    ``cfg.policy``, resolved to a concrete iteration count per SNR point
-    before any cell is dispatched. Deterministic given (seed, config); the
-    worker count never changes counts, only wall-clock.
+    Variants come from ``cfg.iters_list`` (tag ``fixed``, ``[0]`` included)
+    or from ``cfg.policy`` (tagged with its kind), resolved to a concrete
+    iteration count per SNR point before any cell is dispatched; a pure
+    linear run tagged ``zf``/``mmse`` is ``run_linear_sweep``.
+    Deterministic given (seed, config); the worker count never changes
+    counts, only wall-clock.
     """
     cfg.validate()
     if cfg.policy is not None and cfg.policy.kind == "feedback":
@@ -455,38 +455,15 @@ def _machine_note() -> str:
     return f"{platform.system()} {platform.machine()} | {cpu} | python {platform.python_version()}"
 
 
-def _timed_calls(fn, args_iter, min_ticks: int = TIMER_MIN_TICKS):
-    """Total ns and call count for ``fn`` over ``args_iter``.
-
-    If a single call resolves to fewer than ``min_ticks`` timer ticks the
-    calls are timed in groups sized so each sample spans at least
-    ``100 * min_ticks`` ns; counts stay exact either way.
-    """
-    args = list(args_iter)
-    if not args:
-        return 0, 0, []
-    t0 = time.perf_counter_ns()
-    first = fn(*args[0])
-    dt = time.perf_counter_ns() - t0
-    outputs = [first]
-    total = dt
-    if dt >= min_ticks:
-        for a in args[1:]:
-            t0 = time.perf_counter_ns()
-            outputs.append(fn(*a))
-            total += time.perf_counter_ns() - t0
-        return total, len(args), outputs
-    # inner-loop batching for pathologically fast calls
-    group = max(1, math.ceil((100 * min_ticks) / max(1, dt)))
-    i = 1
-    while i < len(args):
-        chunk = args[i : i + group]
+def _timed_calls(fn, args_iter):
+    """Total ns, call count and outputs of ``fn`` over ``args_iter``, each call timed on its own."""
+    total = 0
+    outputs = []
+    for a in args_iter:
         t0 = time.perf_counter_ns()
-        for a in chunk:
-            outputs.append(fn(*a))
+        outputs.append(fn(*a))
         total += time.perf_counter_ns() - t0
-        i += group
-    return total, len(args), outputs
+    return total, len(outputs), outputs
 
 
 def bench_complexity(cfg: SweepConfig, table: CalibrationTable) -> BenchReport:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -172,13 +173,13 @@ class CalibrationTable:
 
     # -- persistence -----------------------------------------------------
 
+    def to_csv(self) -> str:
+        lines = ["# " + " ".join(f"{k}={v}" for k, v in self.meta.items()), "snr_db,n_i,ber,symbols"]
+        lines += [f"{s:g},{n},{b:.12e},{m}" for s, n, b, m in zip(self.snr_db, self.n_i, self.ber, self.symbols)]
+        return "\n".join(lines) + "\n"
+
     def save_csv(self, path) -> None:
-        meta_line = "# " + " ".join(f"{k}={v}" for k, v in self.meta.items())
-        with open(path, "w") as fh:
-            fh.write(meta_line + "\n")
-            fh.write("snr_db,n_i,ber,symbols\n")
-            for s, n, b, m in zip(self.snr_db, self.n_i, self.ber, self.symbols):
-                fh.write(f"{s:g},{n},{b:.12e},{m}\n")
+        Path(path).write_text(self.to_csv())
 
     @classmethod
     def load_csv(cls, path) -> "CalibrationTable":

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from osicsim.batched import transmit_batch
 from osicsim.channel import (
-    ChannelRealization,
     SnrSpec,
     complex_normal,
-    gen_channel,
     gen_channel_batch,
-    gen_noise,
     gen_noise_batch,
     make_stream,
     random_bits,
     standard_normal,
-    transmit,
 )
 
 
@@ -92,9 +89,9 @@ class TestGaussianSampling:
 
 class TestGenChannel:
     def test_shape(self):
-        h = gen_channel(4, 4, make_stream(1, 0))
-        assert isinstance(h, ChannelRealization)
-        assert h.h.shape == (4, 4)
+        h = gen_channel_batch(3, 4, 2, make_stream(1, 0))
+        assert h.shape == (3, 4, 2)
+        assert h.dtype == np.complex128
 
     def test_moments_large_sample(self):
         h = gen_channel_batch(6250, 4, 4, make_stream(6, 0))  # 1e5 entries
@@ -105,22 +102,21 @@ class TestGenChannel:
         assert np.var(entries.real) == pytest.approx(0.5, abs=0.02)
 
     def test_determinism(self):
-        h1 = gen_channel(4, 2, make_stream(9, 3)).h
-        h2 = gen_channel(4, 2, make_stream(9, 3)).h
+        h1 = gen_channel_batch(5, 4, 2, make_stream(9, 3))
+        h2 = gen_channel_batch(5, 4, 2, make_stream(9, 3))
         assert np.array_equal(h1, h2)
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError, match="invalid dimensions"):
-            gen_channel(2, 4, make_stream(1, 0))
+            gen_channel_batch(1, 2, 4, make_stream(1, 0))
         with pytest.raises(ValueError, match="invalid dimensions"):
             gen_channel_batch(3, 1, 0, make_stream(1, 0))
 
 
 class TestGenNoise:
     def test_zero_variance_is_zero_vector(self):
-        n = gen_noise(8, 0.0, make_stream(1, 0))
-        assert np.array_equal(n, np.zeros(8))
         nb = gen_noise_batch(5, 8, 0.0, make_stream(1, 0))
+        assert nb.shape == (5, 8)
         assert not nb.any()
 
     def test_moments(self):
@@ -129,48 +125,38 @@ class TestGenNoise:
 
     def test_negative_variance(self):
         with pytest.raises(ValueError, match="non-negative"):
-            gen_noise(4, -0.5, make_stream(1, 0))
+            gen_noise_batch(2, 4, -0.5, make_stream(1, 0))
 
     def test_determinism(self):
-        a = gen_noise(16, 1.0, make_stream(2, 5))
-        b = gen_noise(16, 1.0, make_stream(2, 5))
+        a = gen_noise_batch(3, 16, 1.0, make_stream(2, 5))
+        b = gen_noise_batch(3, 16, 1.0, make_stream(2, 5))
         assert np.array_equal(a, b)
 
 
 class TestTransmit:
     def test_identity_channel_no_noise(self):
-        x = np.array([1 + 1j, -1 + 0j]) / np.sqrt(2)
-        y = transmit(np.eye(2), x, np.zeros(2))
+        x = np.array([[1 + 1j, -1 + 0j]]) / np.sqrt(2)
+        y = transmit_batch(np.eye(2)[None], x, np.zeros((1, 2)))
         assert np.array_equal(y, x)
 
     def test_zero_input_returns_noise(self):
-        noise = np.array([0.1 + 0.2j, -0.3j, 0.5])
-        y = transmit(np.ones((3, 2)), np.zeros(2), noise)
+        noise = np.array([[0.1 + 0.2j, -0.3j, 0.5]])
+        y = transmit_batch(np.ones((1, 3, 2)), np.zeros((1, 2)), noise)
         assert np.array_equal(y, noise)
-
-    def test_accepts_channel_realization(self):
-        h = gen_channel(3, 2, make_stream(8, 0))
-        y = transmit(h, np.ones(2), np.zeros(3))
-        assert np.allclose(y, h.h @ np.ones(2))
 
     def test_against_naive_oracle(self):
         rng = np.random.default_rng(15)
-        h = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        noise = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        expected = np.zeros(4, dtype=complex)
-        for i in range(4):
-            acc = noise[i]
-            for j in range(3):
-                acc += h[i, j] * x[j]
-            expected[i] = acc
-        assert np.max(np.abs(transmit(h, x, noise) - expected)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            transmit(np.eye(2), np.ones(3), np.zeros(2))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            transmit(np.eye(2), np.ones(2), np.zeros(3))
+        h = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+        x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        noise = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        expected = np.zeros((5, 4), dtype=complex)
+        for b in range(5):
+            for i in range(4):
+                acc = noise[b, i]
+                for j in range(3):
+                    acc += h[b, i, j] * x[b, j]
+                expected[b, i] = acc
+        assert np.max(np.abs(transmit_batch(h, x, noise) - expected)) < 1e-12
 
 
 class TestRandomBits:

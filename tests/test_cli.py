@@ -3,11 +3,15 @@
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from osicsim.cli import main
+from osicsim import cli
+from osicsim.cli import OPTIONS, main
 
 # fast sweeps for CLI plumbing tests: 4x4 QPSK at one moderate SNR
 FAST = [
@@ -121,6 +125,19 @@ class TestSubcommands:
         assert res.exit_code == 0
         rows = (tmp_path / "ber_sweep.csv").read_text().strip().split("\n")[2:]
         assert all(r.split(",")[2] == "zf" for r in rows)
+
+    def test_linear_run_header_names_its_core(self, tmp_path):
+        # a ZF linear run is V-BLAST with zero iterations on the ZF core: same counts, same header
+        linear, osic = tmp_path / "linear", tmp_path / "osic"
+        run_cli(["ber-sweep", *FAST, "--detector", "zf", "--out", str(linear)])
+        run_cli(["ber-sweep", *FAST, "--iters", "0", "--core", "zf", "--out", str(osic)])
+        lines = {d: (d / "ber_sweep.csv").read_text().strip().split("\n") for d in (linear, osic)}
+        assert " core=zf " in lines[linear][0]
+        assert lines[linear][0] == lines[osic][0]
+        assert [r.split(",")[3:5] for r in lines[linear][2:]] == [["4121", "24576"]]
+        assert [r.split(",")[3:5] for r in lines[osic][2:]] == [["4121", "24576"]]
+        # the manifest keeps the configuration as resolved
+        assert json.loads((linear / "ber_sweep_manifest.json").read_text())["config"]["core"] == "mmse"
 
     def test_iter_sweep_enumerates_counts(self, tmp_path):
         res = run_cli(["iter-sweep", *FAST, "--out", str(tmp_path)])
@@ -266,6 +283,32 @@ class TestManifestRerun:
         assert recorded in res.output and actual in res.output
         assert not (tmp_path / "second").exists()
 
+    @pytest.mark.parametrize("command", ["ber-sweep", "iter-sweep", "calibrate", "compare", "bench"])
+    def test_rerun_reproduces_every_command(self, tmp_path, command):
+        self._write_table(tmp_path / "table.csv", [2e-2, 5e-3, 1e-3, 1e-4])
+        extra = {
+            "calibrate": ["--snr", "8,12"],
+            "compare": ["--calib", str(tmp_path / "table.csv")],
+            "bench": ["--calib", str(tmp_path / "table.csv"), "--bench-detections", "100"],
+        }.get(command, [])
+        first, second = tmp_path / "first", tmp_path / "second"
+        res = run_cli([command, *FAST, *extra, "--seed", "5", "--emit-plot", "--out", str(first)])
+        assert res.exit_code == 0, res.output
+        manifest = f"{command.replace('-', '_')}_manifest.json"
+        res = run_cli(["rerun", str(first / manifest), "--out", str(second)])
+        assert res.exit_code == 0, res.output
+        recorded, replayed = (json.loads((d / manifest).read_text()) for d in (first, second))
+        assert replayed["config"] == recorded["config"]
+        assert replayed["outputs"] == recorded["outputs"]
+        timed = {"ber_sweep.csv", "iter_sweep.csv", "compare.csv", "bench.csv"}
+        for name in recorded["outputs"]:
+            if name == "bench_summary.csv":  # every value in it is a timing
+                continue
+            if name in timed:
+                assert non_timing_lines(first / name) == non_timing_lines(second / name), name
+            else:
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
     def test_worker_count_does_not_change_counts(self, tmp_path):
         a = tmp_path / "w1"
         b = tmp_path / "w8"
@@ -320,3 +363,71 @@ class TestBoundaryValues:
         res = CliRunner().invoke(main, [*command, *FAST, "--target-ber", target, "--out", str(tmp_path)])
         assert res.exit_code != 0
         assert "target_ber must lie in (0, 0.5)" in res.output
+
+
+@pytest.fixture(scope="module")
+def valid_manifest(tmp_path_factory):
+    """The manifest of a fast ``ber-sweep`` run, as a dict."""
+    out = tmp_path_factory.mktemp("valid")
+    assert run_cli(["ber-sweep", *FAST, "--out", str(out)]).exit_code == 0
+    return json.loads((out / "ber_sweep_manifest.json").read_text())
+
+
+class TestBoundaryInputs:
+    """Config files and manifests are checked against the same ``OPTIONS`` rows as flags."""
+
+    def test_config_file_value_outside_choices(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mod = QPSK\n")
+        res = CliRunner().invoke(main, ["ber-sweep", *FAST[:4], "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code != 0
+        assert "'mod'" in res.output and "QPSK" in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("bogus", lambda c: c.update(bogus=1)),
+            ("seed", lambda c: c.pop("seed")),
+            ("seed", lambda c: c.update(seed=True)),
+            ("nt", lambda c: c.update(nt=4.0)),
+            ("mod", lambda c: c.update(mod="QPSK")),
+            ("emit_plot", lambda c: c.update(emit_plot="yes")),
+        ],
+        ids=["unknown-key", "missing-key", "bool-seed", "float-nt", "mod-outside-choices", "text-emit-plot"],
+    )
+    def test_rerun_refuses_bad_manifest_config(self, tmp_path, valid_manifest, key, edit):
+        data = json.loads(json.dumps(valid_manifest))
+        edit(data["config"])
+        manifest = tmp_path / "ber_sweep_manifest.json"
+        manifest.write_text(json.dumps(data))
+        res = CliRunner().invoke(main, ["rerun", str(manifest), "--out", str(tmp_path / "o")])
+        assert res.exit_code != 0
+        assert repr(key) in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", list(OPTIONS))
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_config_file_value_reaches_manifest(self, key, data):
+        option = OPTIONS[key]
+        if isinstance(option.type, tuple):
+            values = st.sampled_from(option.type)
+        elif option.type is int:
+            values = st.integers(0, 2**64 - 1)
+        elif option.type is float:
+            values = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+        else:
+            values = st.from_regex(r"[0-9A-Za-z:.,/_-]+", fullmatch=True)
+        value = data.draw(values)
+        text = repr(value) if isinstance(value, float) else str(value)
+        # only the configuration path is under test here, so the command runs nothing
+        stub = cli.COMMANDS["calibrate"]._replace(run=lambda resolved: ({}, None, None))
+        runner = CliRunner()
+        with mock.patch.dict(cli.COMMANDS, {"calibrate": stub}), runner.isolated_filesystem():
+            Path("run.cfg").write_text(f"{key} = {text}\n")
+            res = runner.invoke(main, ["calibrate", "--config", "run.cfg", "--out", "o"], env={"OSIC_BENCH_WORKERS": None})
+            assert res.exit_code == 0, res.output
+            config = json.loads(Path("o/calibrate_manifest.json").read_text())["config"]
+        assert config[key] == value
+        assert type(config[key]) is type(value)

@@ -8,7 +8,7 @@ exhaustive ML search, and numpy's own pinv for the high-SNR limit.
 import numpy as np
 import pytest
 
-from osicsim.channel import SnrSpec, gen_channel, gen_noise, make_stream, transmit
+from osicsim.channel import SnrSpec, gen_channel_batch, gen_noise_batch, make_stream
 from osicsim.detectors import (
     DetectorSpec,
     SearchSpaceError,
@@ -124,7 +124,7 @@ class TestVblastDetect:
         rng = make_stream(30, 0)
         snr = SnrSpec(120.0)
         for trial in range(25):
-            h = gen_channel(4, 4, rng).h
+            h = gen_channel_batch(1, 4, 4, rng)[0]
             x = rand_symbols(np.random.default_rng(trial), 4, QPSK)
             y = h @ x
             for iters in range(4):
@@ -143,7 +143,7 @@ class TestVblastDetect:
     def test_order_follows_pinv_row_norms_per_deflation(self):
         # noiseless fixed seed; re-derive the expected order step by step
         rng = make_stream(31, 0)
-        h = gen_channel(4, 4, rng).h
+        h = gen_channel_batch(1, 4, 4, rng)[0]
         x = rand_symbols(np.random.default_rng(99), 4, QPSK)
         y = h @ x
         trace = vblast_detect(h, y, DetectorSpec("zf", 3), SnrSpec(60.0), QPSK)
@@ -163,10 +163,10 @@ class TestVblastDetect:
     def test_trace_invariants(self):
         rng = make_stream(32, 0)
         snr = SnrSpec(12.0)
-        h = gen_channel(4, 4, rng).h
-        noise = gen_noise(4, snr.noise_var, rng)
+        h = gen_channel_batch(1, 4, 4, rng)[0]
+        noise = gen_noise_batch(1, 4, snr.noise_var, rng)[0]
         x = rand_symbols(np.random.default_rng(5), 4, QPSK)
-        y = transmit(h, x, noise)
+        y = h @ x + noise
         for iters in range(4):
             trace = vblast_detect(h, y, DetectorSpec("mmse", iters), snr, QPSK)
             assert len(trace.order) == iters
@@ -177,10 +177,10 @@ class TestVblastDetect:
         snr = SnrSpec(10.0)
         scalar = 0.7 + 1.3j
         for _ in range(200):
-            h = gen_channel(4, 4, rng).h
-            noise = gen_noise(4, snr.noise_var, rng)
+            h = gen_channel_batch(1, 4, 4, rng)[0]
+            noise = gen_noise_batch(1, 4, snr.noise_var, rng)[0]
             x = rand_symbols(np.random.default_rng(7), 4, QPSK)
-            y = transmit(h, x, noise)
+            y = h @ x + noise
             base = vblast_detect(h, y, DetectorSpec("zf", 3), snr, QPSK)
             scaled = vblast_detect(scalar * h, scalar * y, DetectorSpec("zf", 3), snr, QPSK)
             assert base.order == scaled.order
@@ -201,11 +201,11 @@ class TestVblastDetect:
         errors = np.zeros(4, dtype=np.int64)
         total = 0
         for _ in range(n_vec):
-            h = gen_channel(4, 4, rng).h
-            noise = gen_noise(4, snr.noise_var, rng)
+            h = gen_channel_batch(1, 4, 4, rng)[0]
+            noise = gen_noise_batch(1, 4, snr.noise_var, rng)[0]
             idx = bit_rng.integers(0, 4, 4)
             x = QPSK.points[idx]
-            y = transmit(h, x, noise)
+            y = h @ x + noise
             for n_i in range(4):
                 trace = vblast_detect(h, y, DetectorSpec("mmse", n_i), snr, QPSK)
                 rx_idx = np.array([np.argmin(np.abs(s - QPSK.points)) for s in trace.symbols])
@@ -261,11 +261,11 @@ class TestOracleDominance:
         bit_rng = np.random.default_rng(55)
         err = {"ml": 0, "vblast": 0, "linear": 0}
         for _ in range(n_vec):
-            h = gen_channel(2, 2, rng).h
-            noise = gen_noise(2, snr.noise_var, rng)
+            h = gen_channel_batch(1, 2, 2, rng)[0]
+            noise = gen_noise_batch(1, 2, snr.noise_var, rng)[0]
             idx = bit_rng.integers(0, 4, 2)
             x = QPSK.points[idx]
-            y = transmit(h, x, noise)
+            y = h @ x + noise
             outs = {
                 "ml": ml_detect(h, y, QPSK),
                 "vblast": vblast_detect(h, y, DetectorSpec("zf", 1), snr, QPSK).symbols,

@@ -354,23 +354,6 @@ class TestBench:
         assert outs == list(range(1, 11))
         assert total > 0
 
-    def test_timed_calls_inner_batching_for_fast_fn(self, monkeypatch):
-        # force the first-sample measurement to look sub-resolution
-        seq = iter([0, 10])  # first call appears to take 10 ns < 100 ticks
-
-        real = harness.time.perf_counter_ns
-
-        def fake():
-            try:
-                return next(seq)
-            except StopIteration:
-                return real()
-
-        monkeypatch.setattr(harness.time, "perf_counter_ns", fake)
-        total, count, outs = _timed_calls(lambda x: x, [(i,) for i in range(50)])
-        assert count == 50
-        assert outs == list(range(50))
-
 
 class TestCsvFormat:
     def test_ber_csv_layout(self):
