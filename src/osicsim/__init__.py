@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .channel import SnrSpec, link_snr, make_stream
 from .detectors import DetectionTrace, DetectorSpec, ml_detect, nulling_matrix, vblast_detect
 from .harness import BenchReport, BerPoint, SweepConfig, bench_complexity, calibrate, compare_policies, run_ber_sweep
-from .modem import QAM16, QPSK, Constellation, demodulate, get_constellation, hamming_errors, modulate
+from .modem import QAM16, QPSK, Constellation, get_constellation
 from .policy import (
     CalibrationTable,
     IterationPolicy,
@@ -28,6 +28,6 @@ __all__ = [
     "SnrSpec", "link_snr", "make_stream",
     "DetectionTrace", "DetectorSpec", "ml_detect", "nulling_matrix", "vblast_detect",
     "BenchReport", "BerPoint", "SweepConfig", "bench_complexity", "calibrate", "compare_policies", "run_ber_sweep",
-    "QAM16", "QPSK", "Constellation", "demodulate", "get_constellation", "hamming_errors", "modulate",
+    "QAM16", "QPSK", "Constellation", "get_constellation",
     "CalibrationTable", "IterationPolicy", "SnrEstimate", "estimate_snr", "feedback_iters", "formula_iters", "n_imax",
 ]

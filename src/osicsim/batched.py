@@ -1,23 +1,25 @@
 """Vectorized detection kernels for the Monte Carlo harness.
 
-Internal module. Each function computes what its scalar counterpart in
-``linalg``/``detectors`` computes, on a leading batch axis of independent
-channel instances, which is what makes desk-scale BER sweeps take seconds
-instead of hours. The scalar implementations remain the public contract.
+Internal module. Each function works on a leading batch axis of
+independent channel instances, which is what makes desk-scale BER sweeps
+take seconds instead of hours. The scalar receiver in
+``linalg``/``detectors`` remains the public contract and the per-detection
+timing path of the complexity benchmark.
 
 The scalar and batched paths share one nulling formula for both cores:
 the regularized Gram inverse ``P = (H^H H + lambda I)^-1`` with lambda = 0
 for ZF and the noise variance for MMSE, ordering metric ``diag P`` and
-nulling matrix ``G = P H^H``. :func:`nulling_batch` returns ``P`` itself
-rather than ``G``: the OSIC loop of :func:`vblast_indices_batch` does not
-recompute like the scalar receiver does, but inverts once per vector and
-removes each detected stream from ``P`` by a rank-one Schur-complement
-downdate. Its arithmetic therefore differs from the scalar path in
-rounding; tests pin the two together on detection orders and sliced
-decisions, and pin each downdated ``P`` to the ``linalg.inverse``
-residual bound against the freshly deflated Gram matrix wherever a fresh
-Gauss-Jordan inverse meets that bound itself (condition number below
-1e6). Ties in the ordering go to the lowest
+nulling matrix ``G = P H^H``. They also share one slicer,
+``modem.slice_indices``, which this module re-exports. :func:`nulling_batch`
+returns ``P`` itself rather than ``G``: the OSIC loop of
+:func:`vblast_indices_batch` does not recompute like the scalar receiver
+does, but inverts once per vector and removes each detected stream from
+``P`` by a rank-one Schur-complement downdate. Its arithmetic therefore
+differs from the scalar path in rounding; tests pin the two together on
+detection orders and point indices, and pin each downdated ``P`` to the
+``linalg.inverse`` residual bound against the freshly deflated Gram
+matrix wherever a fresh Gauss-Jordan inverse meets that bound itself
+(condition number below 1e6). Ties in the ordering go to the lowest
 original stream index in both paths.
 
 :func:`inverse_batch` eliminates in place on the ``(batch, n, n)`` stack
@@ -29,10 +31,9 @@ array, a pure copy.
 
 Instead of raising on a rank-deficient instance, the batched routines
 return a boolean validity mask so the harness can redraw the offending
-channel without losing the rest of the batch. Symbols are handled as
-constellation point indices throughout; since point index equals the
-integer value of the Gray label, bit errors are a popcount of XORed
-indices.
+channel without losing the rest of the batch. Symbols are constellation
+point indices throughout; since point index equals the integer value of
+the Gray label, bit errors are a popcount of XORed indices.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .channel import SnrSpec
 from .linalg import PIVOT_RTOL
-from .modem import Constellation
+from .modem import Constellation, slice_indices
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
@@ -140,11 +141,6 @@ def downdate_inverse_batch(p: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np
     sub = _gather(p, keep, keep)
     sub -= col[:, :, None] * row[:, None, :]
     return sub, ok
-
-
-def slice_indices(z: np.ndarray, c: Constellation) -> np.ndarray:
-    """Nearest-point indices for an array of soft symbols (first index on ties)."""
-    return np.argmin(np.abs(z[..., None] - c.points), axis=-1)
 
 
 def transmit_batch(h: np.ndarray, x: np.ndarray, noise: np.ndarray) -> np.ndarray:

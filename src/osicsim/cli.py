@@ -15,14 +15,15 @@ five Monte Carlo commands are the rows of ``COMMANDS``. The flags are
 generated from ``OPTIONS``; config-file values and a manifest's config are
 checked against the same types and choices by ``_coerce``, so an unknown
 key, a value of the wrong type or one outside its choices is refused
-wherever it comes from. Configuration precedence is CLI flag > config-file
-key > built-in default. Config files are flat ``key = value`` text.
+wherever it comes from. A config file may set only the keys its command
+reads: the common keys plus the command's ``COMMANDS[...].extra``.
+Configuration precedence is CLI flag > config-file key > built-in
+default. Config files are flat ``key = value`` text.
 Every data-producing run writes a JSON manifest recording the fully
 resolved configuration, tool version and RNG scheme, plus the absolute
 path and SHA-256 of any calibration table the run read; ``rerun`` replays
 a manifest from any directory, refuses a calibration table whose hash has
-changed, and reproduces every non-timing output byte. The
-``OSIC_BENCH_WORKERS`` environment variable overrides the worker count.
+changed, and reproduces every non-timing output byte.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -137,7 +137,9 @@ def _coerce(key: str, value, where: str):
     raise click.UsageError(f"{where}: bad value for {key!r}: {value!r} (expected {expected})")
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, command: str) -> dict:
+    """The ``key = value`` lines of ``path``, each key one that ``command`` reads."""
+    reads = {*_COMMON_KEYS, *COMMANDS[command].extra}
     values = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -150,6 +152,8 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise click.UsageError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in OPTIONS and key not in reads:
+            raise click.UsageError(f"{path}:{ln}: {command} does not read config key {key!r}")
         values[key] = _coerce(key, value, f"{path}:{ln}")
     return values
 
@@ -180,12 +184,6 @@ def _resolve(params: dict, file_cfg: dict) -> dict:
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = default
-    env_workers = os.environ.get("OSIC_BENCH_WORKERS")
-    if env_workers:
-        try:
-            resolved["workers"] = int(env_workers)
-        except ValueError:
-            raise click.UsageError(f"OSIC_BENCH_WORKERS must be an integer, got {env_workers!r}")
     return resolved
 
 
@@ -289,7 +287,7 @@ def _iter_sweep(resolved: dict) -> Result:
 
 def _calibrate(resolved: dict) -> Result:
     cfg = _sweep_config(resolved)
-    table, derived = calibrate(cfg, resolved["target_ber"])
+    table, derived = calibrate(cfg)
     lines = [f"# target_ber={resolved['target_ber']:g}", "snr_db,required_n_i"]
     lines += [f"{snr:g},{n}" for snr, n in derived]
     files = {"calibrate.csv": table.to_csv(), "calibrate_derived.csv": "\n".join(lines) + "\n"}
@@ -374,7 +372,7 @@ def _register(name: str, command: Command) -> None:
     @click.pass_context
     def run(ctx: click.Context, **_flags) -> None:
         params = ctx.params
-        resolved = _resolve(params, _parse_config_file(params["config"]) if params["config"] else {})
+        resolved = _resolve(params, _parse_config_file(params["config"], name) if params["config"] else {})
         resolved["emit_plot"] = params["emit_plot"]
         _execute(name, resolved, Path(params["out"]))
 

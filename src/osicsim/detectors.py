@@ -17,9 +17,13 @@ deflated channel ``H_i``:
   is the pseudo-inverse of ``H_i`` and ``diag D`` holds its squared row
   norms, so the order is that of the row norms;
 * nulling: ``z = g_k . y_i`` with ``g_k`` the chosen row of ``G = D H_i^H``;
-* slicing: quantize ``z`` to the nearest constellation point;
-* cancellation: subtract the sliced symbol's channel column from ``y_i``
-  and remove that column from ``H_i``.
+* slicing: ``modem.slice_indices`` maps ``z`` to the index of the
+  nearest constellation point;
+* cancellation: subtract that point times its channel column from ``y_i``
+  and remove the column from ``H_i``.
+
+Both detectors return constellation point indices, which equal the
+integer values of the Gray labels.
 
 Cancellation removes the detected column physically (with an index map
 back to original stream order) rather than zeroing it: a zeroed column
@@ -38,7 +42,7 @@ import numpy as np
 
 from .channel import SnrSpec
 from .linalg import RankDeficiencyError, SingularMatrixError, inverse
-from .modem import Constellation, slice_symbol
+from .modem import Constellation, slice_indices
 
 NULLING_CORES = ("zf", "mmse")
 
@@ -69,7 +73,7 @@ class DetectionTrace:
     """Detection output plus the per-iteration bookkeeping of the OSIC loop."""
 
     order: list[int] = field(default_factory=list)
-    symbols: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.complex128))
+    indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
 
 def nulling_matrix(h, core: str, snr: SnrSpec):
@@ -101,8 +105,8 @@ def vblast_detect(h, y, spec: DetectorSpec, snr: SnrSpec, c: Constellation) -> D
     """Truncated V-BLAST: ``spec.iterations`` OSIC rounds, then linear detection.
 
     Returns a :class:`DetectionTrace` whose ``order`` lists the original
-    indices of the successively detected streams and whose ``symbols`` holds
-    the full estimate, assembled in original stream order.
+    indices of the successively detected streams and whose ``indices`` holds
+    the detected point index of every stream, in original stream order.
     """
     h = np.asarray(h, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128).ravel()
@@ -115,25 +119,21 @@ def vblast_detect(h, y, spec: DetectorSpec, snr: SnrSpec, c: Constellation) -> D
     active = list(range(n_t))  # original indices of undetected streams, ascending
     h_cur = h.copy()
     y_cur = y.copy()
-    trace = DetectionTrace(symbols=np.zeros(n_t, dtype=np.complex128))
+    trace = DetectionTrace(indices=np.zeros(n_t, dtype=np.int64))
 
     for _ in range(spec.iterations):
         g, metric = nulling_matrix(h_cur, spec.core, snr)
         j = int(np.argmin(metric))  # first minimum -> lowest original index on ties
-        k = active[j]
-        z = complex(g[j] @ y_cur)
-        s = slice_symbol(z, c)
+        k = active.pop(j)
+        i = slice_indices(g[j] @ y_cur, c)
         trace.order.append(k)
-        trace.symbols[k] = s
-        y_cur = y_cur - h_cur[:, j] * s
+        trace.indices[k] = i
+        y_cur = y_cur - h_cur[:, j] * c.points[i]
         h_cur = np.delete(h_cur, j, axis=1)
-        active.pop(j)
 
     if active:
         g, _ = nulling_matrix(h_cur, spec.core, snr)
-        z_rem = g @ y_cur
-        for j, k in enumerate(active):
-            trace.symbols[k] = slice_symbol(complex(z_rem[j]), c)
+        trace.indices[active] = slice_indices(g @ y_cur, c)
 
     return trace
 
@@ -151,8 +151,9 @@ def ml_candidates(n_t: int, c: Constellation) -> np.ndarray:
 def ml_detect(h, y, c: Constellation) -> np.ndarray:
     """Exhaustive maximum-likelihood detection (oracle for small systems).
 
-    Minimises ``||y - h x||^2`` over every candidate symbol vector; ties go
-    to the lowest candidate index in lexicographic stream order.
+    Minimises ``||y - h x||^2`` over every candidate symbol vector and
+    returns its point indices; ties go to the lowest candidate index in
+    lexicographic stream order.
     """
     h = np.asarray(h, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128).ravel()
@@ -161,5 +162,4 @@ def ml_detect(h, y, c: Constellation) -> np.ndarray:
     cand_sym = c.points[cand_idx]  # (P, n_t)
     residual = y[None, :] - cand_sym @ h.T  # (P, n_r)
     metric = np.sum(np.abs(residual) ** 2, axis=1)
-    best = int(np.argmin(metric))
-    return cand_sym[best].copy()
+    return cand_idx[int(np.argmin(metric))].copy()

@@ -202,7 +202,6 @@ class _Variant:
 
 @dataclass(frozen=True)
 class _Cell:
-    index: int
     snr_db: float
     stream: int
     variants: tuple
@@ -211,6 +210,18 @@ class _Cell:
 def _batch_vectors(subcarriers: int) -> int:
     uses = max(1, math.ceil(VECTORS_PER_BATCH / subcarriers))
     return uses * subcarriers
+
+
+def _draw(cfg: SweepConfig, c: Constellation, count: int, noise_var: float, rng):
+    """``count`` transmissions: ``(h, tx_idx, noise, y)`` with ``y = H x + n``.
+
+    The one draw order of every cell, pilot block and bench cell: channels,
+    then payload bits (packed into point indices), then noise.
+    """
+    h = gen_channel_batch(count, cfg.n_r, cfg.n_t, rng)
+    tx_idx = bits_to_indices(random_bits(rng, count * cfg.n_t * c.bits_per_symbol), c).reshape(count, cfg.n_t)
+    noise = gen_noise_batch(count, cfg.n_r, noise_var, rng)
+    return h, tx_idx, noise, transmit_batch(h, c.points[tx_idx], noise)
 
 
 def _run_cell(cfg: SweepConfig, cell: _Cell) -> list[dict]:
@@ -230,11 +241,7 @@ def _run_cell(cfg: SweepConfig, cell: _Cell) -> list[dict]:
     draws = 0
 
     while symbols < cap_symbols:
-        h = gen_channel_batch(batch, cfg.n_r, cfg.n_t, rng)
-        bits = random_bits(rng, batch * cfg.n_t * bps)
-        noise = gen_noise_batch(batch, cfg.n_r, link.noise_var, rng)
-        tx_idx = bits_to_indices(bits, c).reshape(batch, cfg.n_t)
-        y = transmit_batch(h, c.points[tx_idx], noise)
+        h, tx_idx, noise, y = _draw(cfg, c, batch, link.noise_var, rng)
         draws += batch
 
         outs = {}
@@ -314,14 +321,8 @@ def _point_estimate(cfg: SweepConfig, snr_db: float, point_index: int) -> SnrEst
     c = get_constellation(cfg.modulation)
     link = link_snr(snr_db, cfg.n_t)
     rng = make_stream(cfg.seed, _PILOT_STREAM_BASE + point_index)
-    h = gen_channel_batch(cfg.pilot_uses, cfg.n_r, cfg.n_t, rng)
-    pilot_idx = bits_to_indices(
-        random_bits(rng, cfg.pilot_uses * cfg.n_t * c.bits_per_symbol), c
-    ).reshape(cfg.pilot_uses, cfg.n_t)
-    x = c.points[pilot_idx]
-    noise = gen_noise_batch(cfg.pilot_uses, cfg.n_r, link.noise_var, rng)
-    y = transmit_batch(h, x, noise)
-    est = estimate_snr(y, h, x)
+    h, pilot_idx, _, y = _draw(cfg, c, cfg.pilot_uses, link.noise_var, rng)
+    est = estimate_snr(y, h, c.points[pilot_idx])
     # estimate_snr measures per-unit-symbol-energy SNR; shift to nominal axis
     return SnrEstimate(est.snr_db + 10.0 * math.log10(cfg.n_t), "pilot")
 
@@ -356,7 +357,7 @@ def run_ber_sweep(cfg: SweepConfig, table: CalibrationTable | None = None) -> li
             iters = cfg.iters_list if cfg.iters_list is not None else (cfg.n_t - 1,)
             variants = tuple(_Variant("fixed", cfg.core, n) for n in iters)
         for v in variants:
-            cells.append(_Cell(len(cells), snr_db, len(cells) + 1, (v,)))
+            cells.append(_Cell(snr_db, len(cells) + 1, (v,)))
     return _run_cells(cfg, cells)
 
 
@@ -366,22 +367,22 @@ def run_linear_sweep(cfg: SweepConfig, detector: str) -> list[BerPoint]:
     if detector not in NULLING_CORES:
         raise ConfigError(f"unknown linear detector {detector!r}")
     cells = [
-        _Cell(i, snr_db, i + 1, (_Variant(detector, detector, 0),))
+        _Cell(snr_db, i + 1, (_Variant(detector, detector, 0),))
         for i, snr_db in enumerate(cfg.snr_db_list)
     ]
     return _run_cells(cfg, cells)
 
 
-def calibrate(cfg: SweepConfig, target_ber: float | None = None):
+def calibrate(cfg: SweepConfig):
     """Measure the full (SNR, n_i) BER grid and derive required counts.
 
     Returns ``(table, derived)`` where ``derived`` lists, per SNR, the
-    smallest ``n_i`` in ``[1, n_imax]`` whose measured BER meets the
-    target (``n_imax`` when none does). The grid itself spans
+    smallest ``n_i`` in ``[1, n_imax]`` whose measured BER meets
+    ``cfg.target_ber`` (``n_imax`` when none does). The grid itself spans
     ``n_i = 0 .. n_imax``.
     """
     cfg.validate()
-    target = cfg.target_ber if target_ber is None else target_ber
+    target = cfg.target_ber
     nmax = n_imax(cfg.n_t)
     grid_cfg = replace(cfg, iters_list=tuple(range(0, nmax + 1)), policy=None)
     points = run_ber_sweep(grid_cfg)
@@ -434,7 +435,7 @@ def compare_policies(cfg: SweepConfig, table: CalibrationTable) -> list[BerPoint
             _Variant("feedback", cfg.core, n_feedback),
             _Variant("ordinary", cfg.core, cfg.n_t - 1),
         )
-        cells.append(_Cell(pi, snr_db, pi + 1, variants))
+        cells.append(_Cell(snr_db, pi + 1, variants))
     return _run_cells(cfg, cells)
 
 
@@ -479,11 +480,18 @@ def bench_complexity(cfg: SweepConfig, table: CalibrationTable) -> BenchReport:
     cfg.validate()
     table.validate_for(cfg.modulation, cfg.n_t, cfg.core)
     c = get_constellation(cfg.modulation)
-    bps = c.bits_per_symbol
     nmax = n_imax(cfg.n_t)
     target = cfg.target_ber
 
-    variant_names = ["ordinary", "fixed_nimax", "formula", "feedback"]
+    feedback = IterationPolicy("feedback", target_ber=target)
+    iterations_of = {
+        "ordinary": lambda est: cfg.n_t - 1,
+        "fixed_nimax": lambda est: nmax,
+        "formula": lambda est: formula_iters(est.snr_db, cfg.n_t),
+        "feedback": lambda est: decide_iterations(feedback, est, cfg.n_t, table),
+    }
+    variant_names = list(iterations_of)
+    count = BENCH_WARMUP_CALLS + cfg.bench_detections
     rows: list[BenchRow] = []
     stream = 0
     for name in variant_names:
@@ -492,38 +500,22 @@ def bench_complexity(cfg: SweepConfig, table: CalibrationTable) -> BenchReport:
             est = _point_estimate(cfg, snr_db, pi)
             link = link_snr(snr_db, cfg.n_t)
             rng = make_stream(cfg.seed, _PILOT_STREAM_BASE // 2 + stream)
-            count = BENCH_WARMUP_CALLS + cfg.bench_detections
-            h = gen_channel_batch(count, cfg.n_r, cfg.n_t, rng)
-            tx_idx = bits_to_indices(random_bits(rng, count * cfg.n_t * bps), c).reshape(count, cfg.n_t)
-            noise = gen_noise_batch(count, cfg.n_r, link.noise_var, rng)
-            y = transmit_batch(h, c.points[tx_idx], noise)
+            h, tx_idx, _, y = _draw(cfg, c, count, link.noise_var, rng)
 
-            if name == "ordinary":
-                n_i = cfg.n_t - 1
-                fn = lambda hb, yb: vblast_detect(hb, yb, DetectorSpec(cfg.core, cfg.n_t - 1), link, c)
-            elif name == "fixed_nimax":
-                n_i = nmax
-                fn = lambda hb, yb: vblast_detect(hb, yb, DetectorSpec(cfg.core, nmax), link, c)
-            elif name == "formula":
-                n_i = formula_iters(est.snr_db, cfg.n_t)
-                spec = DetectorSpec(cfg.core, n_i)
-                fn = lambda hb, yb: vblast_detect(hb, yb, spec, link, c)
-            else:  # feedback: restarted passes plus per-candidate lookups
-                n_i = decide_iterations(IterationPolicy("feedback", target_ber=target), est, cfg.n_t, table)
+            n_i = iterations_of[name](est)
+            if name == "feedback":  # restarted passes plus per-candidate lookups
                 fn = lambda hb, yb: feedback_detect(
                     hb, yb, cfg.core, link, c, table, target, est.snr_db
                 )[0]
+            else:
+                spec = DetectorSpec(cfg.core, n_i)
+                fn = lambda hb, yb: vblast_detect(hb, yb, spec, link, c)
 
-            warm_args = [(h[i], y[i]) for i in range(BENCH_WARMUP_CALLS)]
-            for a in warm_args:
-                fn(*a)
+            for i in range(BENCH_WARMUP_CALLS):
+                fn(h[i], y[i])
             timed_args = ((h[i], y[i]) for i in range(BENCH_WARMUP_CALLS, count))
             total_ns, n_calls, outputs = _timed_calls(fn, timed_args)
-
-            errors = 0
-            for i, trace in enumerate(outputs):
-                rx_idx = np.argmin(np.abs(trace.symbols[:, None] - c.points[None, :]), axis=1)
-                errors += count_bit_errors(tx_idx[BENCH_WARMUP_CALLS + i], rx_idx)
+            rx_idx = np.array([trace.indices for trace in outputs])
 
             rows.append(
                 BenchRow(
@@ -532,8 +524,8 @@ def bench_complexity(cfg: SweepConfig, table: CalibrationTable) -> BenchReport:
                     n_i=n_i,
                     detections=n_calls,
                     mean_ns=total_ns / n_calls,
-                    bit_errors=errors,
-                    total_bits=n_calls * cfg.n_t * bps,
+                    bit_errors=count_bit_errors(tx_idx[BENCH_WARMUP_CALLS:], rx_idx),
+                    total_bits=n_calls * cfg.n_t * c.bits_per_symbol,
                 )
             )
 

@@ -1,10 +1,12 @@
-"""Bit/symbol mapping for QPSK and 16-QAM, and the constellation slicer.
+"""Gray-labelled QPSK and 16-QAM, bit packing, and the one nearest-point slicer.
 
 Both constellations are Gray-labelled and normalised to unit average
 energy. Points are stored in label order, so the index of a point equals
-the integer value of its bit label (most significant bit first); this
-makes modulation a table lookup and demodulation an ``argmin`` plus a
-label read-off.
+the integer value of its bit label (most significant bit first). Below
+the bit source, every symbol is therefore carried as a point index:
+modulation is ``c.points[bits_to_indices(bits, c)]``, detection returns
+indices from :func:`slice_indices`, and the Hamming distance between two
+labels is the popcount of the XOR of their indices.
 
 Fixed labelings:
 
@@ -21,7 +23,7 @@ this is a measure-zero event and exists only to pin determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +33,11 @@ _GRAY_PAIR_LEVELS = {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}
 
 @dataclass(frozen=True)
 class Constellation:
-    """A modulation alphabet with Gray bit labels and unit average energy."""
+    """A modulation alphabet in Gray-label order with unit average energy."""
 
     name: str
     points: np.ndarray
     bits_per_symbol: int
-    bit_labels: np.ndarray = field(repr=False)  # (M, bits_per_symbol) uint8
 
     def __post_init__(self):
         m = len(self.points)
@@ -49,20 +50,12 @@ class Constellation:
             raise ValueError("constellation points must be distinct")
 
 
-def _labels(m: int, bits: int) -> np.ndarray:
-    out = np.zeros((m, bits), dtype=np.uint8)
-    for idx in range(m):
-        for b in range(bits):
-            out[idx, b] = (idx >> (bits - 1 - b)) & 1
-    return out
-
-
 def _make_qpsk() -> Constellation:
     pts = np.zeros(4, dtype=np.complex128)
     for idx in range(4):
         b1, b0 = (idx >> 1) & 1, idx & 1
         pts[idx] = ((1 - 2 * b1) + (1 - 2 * b0) * 1j) / np.sqrt(2.0)
-    return Constellation("qpsk", pts, 2, _labels(4, 2))
+    return Constellation("qpsk", pts, 2)
 
 
 def _make_qam16() -> Constellation:
@@ -72,7 +65,7 @@ def _make_qam16() -> Constellation:
         i_level = _GRAY_PAIR_LEVELS[(b3, b2)]
         q_level = _GRAY_PAIR_LEVELS[(b1, b0)]
         pts[idx] = (i_level + 1j * q_level) / np.sqrt(10.0)
-    return Constellation("qam16", pts, 4, _labels(16, 4))
+    return Constellation("qam16", pts, 4)
 
 
 QPSK = _make_qpsk()
@@ -100,44 +93,9 @@ def bits_to_indices(bits, c: Constellation) -> np.ndarray:
     return groups @ weights
 
 
-def indices_to_bits(indices, c: Constellation) -> np.ndarray:
-    """Inverse of :func:`bits_to_indices`; returns a flat uint8 bit array."""
-    indices = np.asarray(indices, dtype=np.int64).ravel()
-    return c.bit_labels[indices].ravel()
+def slice_indices(z, c: Constellation) -> np.ndarray:
+    """Index of the nearest constellation point to each soft symbol in ``z`` (lowest index on ties).
 
-
-def modulate(bits, c: Constellation) -> np.ndarray:
-    """Map a Gray-labelled bit sequence to constellation symbols.
-
-    The bit count must be a multiple of ``c.bits_per_symbol``; an empty
-    sequence yields an empty vector.
+    ``z`` may be a scalar or an array of any shape; the result has its shape.
     """
-    return c.points[bits_to_indices(bits, c)]
-
-
-def slice_index(z: complex, c: Constellation) -> int:
-    """Index of the constellation point nearest to ``z`` (lowest index on ties)."""
-    return int(np.argmin(np.abs(z - c.points)))
-
-
-def slice_symbol(z: complex, c: Constellation) -> complex:
-    """Quantize a soft estimate to the nearest constellation point."""
-    return complex(c.points[slice_index(z, c)])
-
-
-def demodulate(symbols, c: Constellation) -> np.ndarray:
-    """Slice each symbol and emit its Gray label; inverse of :func:`modulate`."""
-    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
-    if symbols.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    idx = np.argmin(np.abs(symbols[:, None] - c.points[None, :]), axis=1)
-    return indices_to_bits(idx, c)
-
-
-def hamming_errors(a, b) -> int:
-    """Number of differing positions between two equal-length bit sequences."""
-    a = np.asarray(a, dtype=np.uint8).ravel()
-    b = np.asarray(b, dtype=np.uint8).ravel()
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return int(np.count_nonzero(a != b))
+    return np.argmin(np.abs(np.asarray(z)[..., None] - c.points), axis=-1)

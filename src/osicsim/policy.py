@@ -86,6 +86,12 @@ class SnrEstimate:
     source: str = "genie"  # genie | pilot
 
 
+def _snr_text(snr_db: float) -> str:
+    """``snr_db`` as ``:g`` writes it where that is exact, else its shortest round-trip form."""
+    text = f"{snr_db:g}"
+    return text if float(text) == snr_db else repr(float(snr_db))
+
+
 @dataclass
 class CalibrationTable:
     """Precomputed (snr_db, n_i) -> BER grid plus its experiment metadata.
@@ -174,8 +180,9 @@ class CalibrationTable:
     # -- persistence -----------------------------------------------------
 
     def to_csv(self) -> str:
+        """The table as CSV; every SNR reloads as the same float."""
         lines = ["# " + " ".join(f"{k}={v}" for k, v in self.meta.items()), "snr_db,n_i,ber,symbols"]
-        lines += [f"{s:g},{n},{b:.12e},{m}" for s, n, b, m in zip(self.snr_db, self.n_i, self.ber, self.symbols)]
+        lines += [f"{_snr_text(s)},{n},{b:.12e},{m}" for s, n, b, m in zip(self.snr_db, self.n_i, self.ber, self.symbols)]
         return "\n".join(lines) + "\n"
 
     def save_csv(self, path) -> None:

@@ -73,7 +73,7 @@ def calibration():
         seed=SEED,
         workers=1,
     )
-    table, derived = calibrate(cfg, target_ber=1e-2)
+    table, derived = calibrate(cfg)
     return table, derived
 
 

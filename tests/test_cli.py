@@ -63,6 +63,18 @@ class TestValidation:
         assert res.exit_code != 0
         assert "bogus_key" in res.output
 
+    @pytest.mark.parametrize("line", ["policy = feedback", "bench_detections = 5"])
+    def test_config_file_key_the_command_never_reads(self, tmp_path, line):
+        # iter-sweep runs every fixed count and no bench: it would record a
+        # policy it never ran, or refuse a value it never uses
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"nt = 4\n{line}\n")
+        res = CliRunner().invoke(main, ["iter-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code != 0
+        key = line.split(" =")[0]
+        assert f"iter-sweep does not read config key {key!r}" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_value_type(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = notanumber\n")
@@ -100,14 +112,6 @@ class TestPrecedence:
         assert res.exit_code == 0
         manifest = json.loads((out / "ber_sweep_manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
-
-    def test_env_var_overrides_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OSIC_BENCH_WORKERS", "2")
-        out = tmp_path / "o3"
-        res = run_cli(["ber-sweep", *FAST, "--out", str(out), "--workers", "1"])
-        assert res.exit_code == 0
-        manifest = json.loads((out / "ber_sweep_manifest.json").read_text())
-        assert manifest["config"]["workers"] == 2
 
 
 class TestSubcommands:
@@ -421,13 +425,15 @@ class TestBoundaryInputs:
             values = st.from_regex(r"[0-9A-Za-z:.,/_-]+", fullmatch=True)
         value = data.draw(values)
         text = repr(value) if isinstance(value, float) else str(value)
-        # only the configuration path is under test here, so the command runs nothing
-        stub = cli.COMMANDS["calibrate"]._replace(run=lambda resolved: ({}, None, None))
+        # the first command that reads the key; only the configuration path is
+        # under test here, so the command runs nothing
+        command = next(name for name, c in cli.COMMANDS.items() if key in cli._COMMON_KEYS or key in c.extra)
+        stub = cli.COMMANDS[command]._replace(run=lambda resolved: ({}, None, None))
         runner = CliRunner()
-        with mock.patch.dict(cli.COMMANDS, {"calibrate": stub}), runner.isolated_filesystem():
+        with mock.patch.dict(cli.COMMANDS, {command: stub}), runner.isolated_filesystem():
             Path("run.cfg").write_text(f"{key} = {text}\n")
-            res = runner.invoke(main, ["calibrate", "--config", "run.cfg", "--out", "o"], env={"OSIC_BENCH_WORKERS": None})
+            res = runner.invoke(main, [command, "--config", "run.cfg", "--out", "o"])
             assert res.exit_code == 0, res.output
-            config = json.loads(Path("o/calibrate_manifest.json").read_text())["config"]
+            config = json.loads(Path(f"o/{command.replace('-', '_')}_manifest.json").read_text())["config"]
         assert config[key] == value
         assert type(config[key]) is type(value)

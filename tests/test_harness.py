@@ -202,7 +202,7 @@ class TestCalibrate:
             n_t=4, n_r=4, modulation="qpsk", core="mmse",
             snr_db_list=(6.0, 14.0), iters_list=None,
         )
-        table, derived = calibrate(cfg, target_ber=1e-2)
+        table, derived = calibrate(cfg)
         # grid covers n_i = 0..n_imax for each snr
         assert sorted(set(table.n_i.tolist())) == [0, 1, 2]
         assert sorted(set(table.snr_db.tolist())) == [6.0, 14.0]
@@ -213,15 +213,20 @@ class TestCalibrate:
             assert 1 <= n <= 2
 
     def test_accept_anything_target_gives_one(self):
-        cfg = small_cfg(n_t=4, n_r=4, snr_db_list=(8.0,), iters_list=None)
-        _, derived = calibrate(cfg, target_ber=1.0)
+        cfg = small_cfg(n_t=4, n_r=4, snr_db_list=(8.0,), iters_list=None, target_ber=0.49)
+        _, derived = calibrate(cfg)
         assert derived == [(8.0, 1)]
+
+    def test_target_outside_domain_refused(self):
+        cfg = small_cfg(n_t=4, n_r=4, snr_db_list=(8.0,), iters_list=None, target_ber=1.0)
+        with pytest.raises(ConfigError, match="target_ber must lie in"):
+            calibrate(cfg)
 
     def test_grid_monotone_in_iterations(self):
         cfg = small_cfg(
             n_t=4, n_r=4, snr_db_list=(10.0,), iters_list=None, min_errors=400,
         )
-        table, _ = calibrate(cfg, target_ber=1e-2)
+        table, _ = calibrate(cfg)
         bers = {n: table.ber[(table.snr_db == 10.0) & (table.n_i == n)][0] for n in (0, 1, 2)}
         assert bers[1] <= bers[0] * 1.15
         assert bers[2] <= bers[1] * 1.15
@@ -234,7 +239,7 @@ def table():
         snr_db_list=(16.0, 25.0, 34.0), iters_list=None,
         min_symbols=25_000, min_errors=100, seed=3,
     )
-    table, _ = calibrate(cfg, target_ber=1e-2)
+    table, _ = calibrate(cfg)
     return table
 
 
