@@ -22,12 +22,16 @@ matrix wherever a fresh Gauss-Jordan inverse meets that bound itself
 (condition number below 1e6). Ties in the ordering go to the lowest
 original stream index in both paths.
 
-:func:`inverse_batch` eliminates in place on the ``(batch, n, n)`` stack
-rather than on an augmented ``[A | I]`` copy, with the scalar pivot rule;
-every entry it returns takes the same floating-point operations as in
-``linalg.inverse``, so the two agree exactly. A detected stream leaves
-``H`` and both axes of ``P`` through one flat-offset ``np.take`` per
-array, a pure copy.
+:func:`inverse_batch` runs the scalar pivot rule in place on a batch-last
+``(n, n, batch)`` copy, with no augmented ``[A | I]``, so every slice of
+an elimination step is contiguous over the batch; every entry it returns
+takes the same floating-point operations as in ``linalg.inverse``, so the
+two agree exactly. It returns a ``(batch, n, n)`` view of that storage.
+The OSIC loop keeps ``P`` and ``conj(H)`` at full size: a detected stream
+is downdated out of ``P`` in place, which leaves its row and column zero,
+and its ordering metric is masked with ``+inf``, so every stream keeps its
+original index. ``P`` and ``H^H`` are compacted to the surviving streams
+once, by boolean mask, before the final linear block.
 
 Instead of raising on a rank-deficient instance, the batched routines
 return a boolean validity mask so the harness can redraw the offending
@@ -52,41 +56,45 @@ def inverse_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(inv, ok)`` where ``ok[b]`` is False for instances whose
     pivot fell below the singularity threshold; their output is garbage
-    and must be discarded by the caller.
+    and must be discarded by the caller. ``inv`` is a ``(batch, n, n)``
+    view of batch-last storage.
     """
-    a = np.array(a, dtype=np.complex128)  # a copy: eliminated in place
+    a = np.asarray(a, dtype=np.complex128)
     _, n, m = a.shape
     if n != m:
         raise ValueError(f"inverse requires square matrices, got {n}x{m}")
     tol = PIVOT_RTOL * np.max(np.abs(a), axis=(1, 2))
     ok = tol > 0.0
 
-    # Gauss-Jordan on ``a`` itself instead of the augmented ``[A | I]``: the
-    # augmented form never reads column k of ``A`` after step k, and the
-    # identity column it fills at step k is zero outside row k, so column k
-    # of ``a`` stores that column of the inverse. Every stored entry takes
-    # the same floating-point operations as in the augmented form. The
-    # identity columns follow the row swaps, which the last loop undoes.
+    # Gauss-Jordan on a batch-last copy of ``a`` itself instead of the
+    # augmented ``[A | I]``: the augmented form never reads column k of ``A``
+    # after step k, and the identity column it fills at step k is zero
+    # outside row k, so column k of ``a`` stores that column of the inverse.
+    # Every stored entry takes the same floating-point operations as in the
+    # augmented form. The identity columns follow the row swaps, which the
+    # last loop undoes. With the batch axis last, every slice of a step is
+    # contiguous over the batch.
+    a = a.transpose(1, 2, 0).copy()
     pivots = []
     for k in range(n):
-        p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        p = k + np.argmax(np.abs(a[k:, k]), axis=0)
         swap = np.flatnonzero(p != k)
-        a[swap, k], a[swap, p[swap]] = a[swap, p[swap]], a[swap, k]
+        a[k, :, swap], a[p[swap], :, swap] = a[p[swap], :, swap], a[k, :, swap]
         pivots.append((swap, p[swap]))
-        piv = a[:, k, k]
+        piv = a[k, k]
         bad = np.abs(piv) < tol
         ok &= ~bad
         piv = np.where(ok, piv, 1.0)  # keep dead instances finite
-        col = a[:, :, k].copy()
-        col[:, k] = 0.0
-        a[:, :, k] = 0.0
-        a[:, k, k] = 1.0
-        a[:, k, :] /= piv[:, None]
-        a -= col[:, :, None] * a[:, k:k + 1, :]
+        col = a[:, k].copy()
+        col[k] = 0.0
+        a[:, k] = 0.0
+        a[k, k] = 1.0
+        a[k] /= piv
+        a -= col[:, None] * a[k]
     for k in range(n - 1, -1, -1):  # row swaps of A are column swaps of A^-1
         swap, p = pivots[k]
-        a[swap, :, k], a[swap, :, p] = a[swap, :, p], a[swap, :, k]
-    return a, ok
+        a[:, k, swap], a[:, p, swap] = a[:, p, swap], a[:, k, swap]
+    return a.transpose(2, 0, 1), ok
 
 
 def nulling_batch(h: np.ndarray, core: str, snr: SnrSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,44 +111,31 @@ def nulling_batch(h: np.ndarray, core: str, snr: SnrSpec) -> tuple[np.ndarray, n
     return p, np.diagonal(p, axis1=1, axis2=2).real.copy(), ok
 
 
-def _without(j: np.ndarray, n: int) -> np.ndarray:
-    """Per-row ascending indices ``0..n-1`` with ``j[b]`` left out, shape ``(batch, n-1)``."""
-    r = np.arange(n - 1)
-    return r + (r >= j[:, None])
-
-
-def _gather(x: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``out[b, i, k] = x[b, r[b, i], c[b, k]]`` for a stack ``x`` of shape ``(batch, m, n)``.
-
-    One ``np.take`` at flat offsets ``(b m + r) n + c``: a pure copy.
-    """
-    batch, m, n = x.shape
-    at = ((np.arange(batch) * m)[:, None] + r) * n
-    return np.take(x, at[:, :, None] + c[:, None, :])
-
-
-def downdate_inverse_batch(p: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of ``A`` with row and column ``j[b]`` removed, given ``p = A^-1``.
+def downdate_inverse_batch(p: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Remove stream ``j[b]`` from ``p = A^-1`` in place, at full size.
 
     One Schur-complement downdate per instance,
-    ``P' = P[-j,-j] - P[-j,j] P[j,-j] / P[j,j]`` (Hassibi, ICASSP 2000;
-    Benesty, Huang & Chen, IEEE TSP 2003): O(n^2) work in place of a fresh
-    O(n^3) inversion. Returns ``(p', ok)``; ``ok[b]`` is False where the
-    pivot ``P[j,j]`` is not finite and positive, as it is for every
-    Hermitian positive definite ``A``. Such instances get a finite but
-    meaningless ``p'`` that the caller must discard.
+    ``P -= P[:, j] P[j, :] / P[j, j]`` (Hassibi, ICASSP 2000; Benesty,
+    Huang & Chen, IEEE TSP 2003): O(n^2) work in place of a fresh O(n^3)
+    inversion. Afterwards row and column ``j`` are zero and the other
+    rows and columns hold the inverse of ``A`` with row and column ``j``
+    removed; a zeroed row and column stay zero under later downdates.
+    Returns ``ok``: ``ok[b]`` is False where the pivot ``P[j,j]`` is not
+    finite and positive, as it is for every Hermitian positive definite
+    ``A``. Such instances get a finite but meaningless ``p`` that the
+    caller must discard.
     """
-    batch, n, _ = p.shape
-    rows = np.arange(batch)
-    piv = p[rows, j, j]
+    q = p.transpose(1, 2, 0)  # batch last, as ``inverse_batch`` stores P
+    b = np.arange(len(j))
+    piv = q[j, j, b]
     ok = np.isfinite(piv) & (piv.real > 0.0)
     piv = np.where(ok, piv, 1.0)  # keep dead instances finite
-    keep = _without(j, n)
-    col = _gather(p, keep, j[:, None])[:, :, 0]
-    row = _gather(p, j[:, None], keep)[:, 0] / piv[:, None]
-    sub = _gather(p, keep, keep)
-    sub -= col[:, :, None] * row[:, None, :]
-    return sub, ok
+    col = np.ascontiguousarray(q[:, j, b])  # contiguous over the batch
+    row = np.ascontiguousarray(q[j, :, b].T) / piv
+    q -= col[:, None] * row
+    q[j, :, b] = 0.0
+    q[:, j, b] = 0.0
+    return ok
 
 
 def transmit_batch(h: np.ndarray, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -163,40 +158,37 @@ def vblast_indices_batch(
     shape ``(batch, iterations)``), and the validity mask.
     """
     h = np.asarray(h, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
+    y = np.array(y, dtype=np.complex128)  # a copy: cancelled in place
     batch, n_r, n_t = h.shape
     if iterations > n_t - 1:
         raise ValueError(f"iterations {iterations} exceeds n_t - 1 = {n_t - 1}")
 
     rows = np.arange(batch)
-    active = np.broadcast_to(np.arange(n_t), (batch, n_t)).copy()  # ascending per row
-    h_cur = h
-    y_cur = y
+    hc = h.conj()  # H^H, read transposed
+    alive = np.ones((batch, n_t), dtype=bool)
     out = np.zeros((batch, n_t), dtype=np.int64)
     orders = np.zeros((batch, iterations), dtype=np.int64)
 
-    # one Gram inversion per vector; each deflation downdates P
+    # one Gram inversion per vector; each detected stream is downdated out
+    # of P in place, and its ordering metric is masked
     p, metric, ok = nulling_batch(h, core, snr)
     for it in range(iterations):
         j = np.argmin(metric, axis=1)  # first minimum -> lowest original index
-        k = active[rows, j]
-        orders[:, it] = k
-        w = np.einsum("bi,bri->br", p[rows, j], h_cur.conj())  # row j of P H^H
-        z = np.sum(w * y_cur, axis=1)
+        orders[:, it] = j
+        w = np.einsum("bi,bri->br", p[rows, j], hc)  # row j of P H^H
+        z = np.sum(w * y, axis=1)
         sidx = slice_indices(z, c)
-        out[rows, k] = sidx
-        y_cur = y_cur - h_cur[rows, :, j] * c.points[sidx][:, None]
+        out[rows, j] = sidx
+        y -= h[rows, :, j] * c.points[sidx][:, None]
+        alive[rows, j] = False
+        ok &= downdate_inverse_batch(p, j)
+        metric = np.where(alive, np.diagonal(p, axis1=1, axis2=2).real, np.inf)
 
-        keep = _without(j, h_cur.shape[2])
-        h_cur = _gather(h_cur, np.arange(n_r)[None, :], keep)
-        active = np.take_along_axis(active, keep, axis=1)
-        p, ok_d = downdate_inverse_batch(p, j)
-        ok &= ok_d
-        metric = np.diagonal(p, axis1=1, axis2=2).real
-
-    g = p @ h_cur.conj().transpose(0, 2, 1)
-    z = np.einsum("bij,bj->bi", g, y_cur)
-    np.put_along_axis(out, active, slice_indices(z, c), axis=1)
+    m = n_t - iterations
+    p = p[alive[:, :, None] & alive[:, None, :]].reshape(batch, m, m)
+    hc = hc[np.broadcast_to(alive[:, None, :], hc.shape)].reshape(batch, n_r, m)
+    z = np.einsum("bij,bj->bi", p @ hc.transpose(0, 2, 1), y)
+    out[alive] = slice_indices(z, c).ravel()
     return out, orders, ok
 
 

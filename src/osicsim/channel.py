@@ -15,7 +15,13 @@ pair ``(seed, stream)``; identical keys reproduce identical sequences
 regardless of scheduling, which is what makes parallel Monte Carlo cells
 deterministic. Gaussians are produced by the Box-Muller transform over the
 generator's uniforms, so the whole sampling chain is specified by
-``philox4x64 + box-muller`` and can be replicated outside this package.
+``philox4x64 + box-muller`` and can be replicated outside this package
+(:func:`standard_normal` spells out the order of draws). The transform
+runs in place, writing cosine and sine straight into the interleaved
+output, with the same floating-point operations as the textbook form;
+complex samples are a ``complex128`` view of the scaled real pairs. The
+bits are those of numpy's ``log``, ``sqrt``, ``cos`` and ``sin`` kernels, so
+they are reproducible for a given numpy build.
 
 The per-subcarrier model is K independent flat-fading MIMO channels; no
 time-domain OFDM processing (IFFT, cyclic prefix) is performed.
@@ -76,23 +82,34 @@ def make_stream(seed: int, stream: int) -> np.random.Generator:
 
 
 def standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """N(0, 1) samples via the Box-Muller transform over ``rng`` uniforms."""
+    """N(0, 1) samples via the Box-Muller transform over ``rng`` uniforms.
+
+    Pair ``k`` takes uniforms ``u1[k]``, ``u2[k]`` (two successive draws of
+    ``(n + 1) // 2`` each) and yields ``r cos t``, ``r sin t`` with
+    ``r = sqrt(-2 log(1 - u1))`` and ``t = 2 pi u2``, in that order.
+    """
     n = int(np.prod(shape)) if shape else 1
     pairs = (n + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # (0, 1], keeps log finite
-    u2 = rng.random(pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[1::2] = r * np.sin(2.0 * np.pi * u2)
-    return z[:n].reshape(shape)
+    r = rng.random(pairs)
+    np.subtract(1.0, r, out=r)  # (0, 1], keeps log finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t = rng.random(pairs)
+    t *= 2.0 * np.pi
+    z = np.empty((pairs, 2))
+    np.cos(t, out=z[:, 0])
+    z[:, 0] *= r
+    np.sin(t, out=z[:, 1])
+    z[:, 1] *= r
+    return z.reshape(-1)[:n].reshape(shape)
 
 
 def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
-    """CN(0, var) samples: each component is N(0, var/2)."""
+    """CN(0, var) samples: each component is N(0, var/2), real then imaginary."""
     z = standard_normal(rng, tuple(shape) + (2,))
-    scale = np.sqrt(var / 2.0)
-    return scale * (z[..., 0] + 1j * z[..., 1])
+    z *= np.sqrt(var / 2.0)
+    return z.view(np.complex128).reshape(shape)
 
 
 def gen_channel_batch(count: int, n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:

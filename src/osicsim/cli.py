@@ -20,10 +20,12 @@ reads: the common keys plus the command's ``COMMANDS[...].extra``.
 Configuration precedence is CLI flag > config-file key > built-in
 default. Config files are flat ``key = value`` text.
 Every data-producing run writes a JSON manifest recording the fully
-resolved configuration, tool version and RNG scheme, plus the absolute
-path and SHA-256 of any calibration table the run read; ``rerun`` replays
-a manifest from any directory, refuses a calibration table whose hash has
-changed, and reproduces every non-timing output byte.
+resolved configuration, tool, python and numpy versions, the machine and
+the RNG scheme, plus the absolute path and SHA-256 of any calibration
+table the run read; ``rerun`` replays a manifest from any directory,
+refuses a calibration table whose hash has changed or a key the command
+does not read set away from its default, and reproduces every non-timing
+output byte for the same numpy build.
 """
 
 from __future__ import annotations
@@ -31,15 +33,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import click
+import numpy as np
 
 from . import __version__
 from .harness import (
     SweepConfig,
+    _machine_note,
     bench_complexity,
     calibrate,
     compare_policies,
@@ -137,9 +142,14 @@ def _coerce(key: str, value, where: str):
     raise click.UsageError(f"{where}: bad value for {key!r}: {value!r} (expected {expected})")
 
 
+def _reads(command: str) -> set[str]:
+    """The config keys ``command`` reads: the common keys and its own."""
+    return {*_COMMON_KEYS, *COMMANDS[command].extra}
+
+
 def _parse_config_file(path: str, command: str) -> dict:
     """The ``key = value`` lines of ``path``, each key one that ``command`` reads."""
-    reads = {*_COMMON_KEYS, *COMMANDS[command].extra}
+    reads = _reads(command)
     values = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -158,8 +168,12 @@ def _parse_config_file(path: str, command: str) -> dict:
     return values
 
 
-def _manifest_config(config, where: str) -> dict:
-    """A manifest's resolved config, with every ``OPTIONS`` key present and checked."""
+def _manifest_config(config, where: str, command: str) -> dict:
+    """A manifest's resolved config, with every ``OPTIONS`` key present and checked.
+
+    A key that ``command`` does not read must hold its default: a manifest
+    edited to set one would otherwise replay as if the value had been used.
+    """
     if not isinstance(config, dict):
         raise click.UsageError(f"{where}: config must be a JSON object")
     missing = [key for key in OPTIONS if key not in config]
@@ -170,6 +184,11 @@ def _manifest_config(config, where: str) -> dict:
         raise click.UsageError(f"{where}: bad value for 'emit_plot': {emit_plot!r} (expected true or false)")
     resolved = {key: _coerce(key, value, where) for key, value in config.items() if key != "emit_plot"}
     resolved["emit_plot"] = emit_plot
+    for key in OPTIONS:
+        if key not in _reads(command) and resolved[key] != DEFAULTS[key]:
+            raise click.UsageError(
+                f"{where}: {command} does not read config key {key!r}, but the manifest sets it to {resolved[key]!r}"
+            )
     return resolved
 
 
@@ -227,6 +246,9 @@ def _write_manifest(
     manifest = {
         "tool": "osicsim",
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": _machine_note(),
         "command": command,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "rng": {"bit_generator": "philox4x64", "gaussian": "box-muller", "key_scheme": "(seed, stream)"},
@@ -415,7 +437,7 @@ def rerun(manifest, out):
         raise click.ClickException(f"cannot load manifest: {exc}") from None
     if command not in COMMANDS:
         raise click.ClickException(f"{manifest}: unknown command {command!r}")
-    resolved = _manifest_config(config, manifest)
+    resolved = _manifest_config(config, manifest, command)
     calib = data.get("calib")
     if calib is not None:
         try:

@@ -1,9 +1,10 @@
 """Equivalence of the batched Monte Carlo kernels with the scalar detectors.
 
 The scalar implementations are the contract; every batched routine must
-reproduce them instance by instance (same ordering, same point indices). The OSIC loop inverts the Gram matrix once and downdates the
-inverse per deflation, so its own accuracy is checked against freshly
-deflated Gram matrices.
+reproduce them instance by instance (same ordering, same point indices).
+The OSIC loop inverts the Gram matrix once and downdates the full-size
+inverse in place per detected stream, so its own accuracy is checked
+against freshly deflated Gram matrices.
 """
 
 import numpy as np
@@ -39,9 +40,10 @@ def random_batch(seed, batch, n_r, n_t, snr, c):
 
 
 def downdate_reference(p, j):
-    """Gather-based downdate: the survivor indices of each instance, then
-    ``take_along_axis`` and a three-index gather. ``downdate_inverse_batch``
-    must return exactly these values."""
+    """Gather-based downdate to the compacted survivors: the survivor indices
+    of each instance, then ``take_along_axis`` and a three-index gather. The
+    surviving rows and columns of ``downdate_inverse_batch`` must hold
+    exactly these values."""
     batch, n, _ = p.shape
     rows = np.arange(batch)
     piv = p[rows, j, j]
@@ -211,7 +213,17 @@ class TestVblastBatch:
             assert np.array_equal(idx[b], trace.indices)
 
 
+def survivors(p, alive):
+    """The rows and columns of the full-size ``p`` that ``alive`` keeps, compacted."""
+    m = int(alive[0].sum())
+    return p[alive[:, :, None] & alive[:, None, :]].reshape(len(p), m, m)
+
+
 class TestDowndateInverse:
+    """``downdate_inverse_batch`` works on the full-size ``P`` in place: the
+    surviving rows and columns hold the downdated inverse, and row and
+    column ``j`` become exactly zero."""
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -228,6 +240,7 @@ class TestDowndateInverse:
         cond 1e6) but not at cond 1e7 and above, and the downdate follows
         the fresh inverse within a small factor."""
         batch = 32
+        rows = np.arange(batch)
         snr = SnrSpec(20.0)
         h = gen_channel_batch(batch, n_t + extra_rx, n_t, make_stream(seed, 0))
         reg = 0.0 if core == "zf" else snr.noise_var
@@ -236,46 +249,51 @@ class TestDowndateInverse:
         gram = h.conj().transpose(0, 2, 1) @ h + reg * np.eye(n_t)
         domain = np.linalg.cond(gram) < 1e6
         assert domain.any()
-        cols = [list(range(n_t)) for _ in range(batch)]
+        alive = np.ones((batch, n_t), dtype=bool)
         for n in range(n_t - 1, 0, -1):
-            j = np.argmin(metric, axis=1)
-            p, ok = downdate_inverse_batch(p, j)
-            assert ok.all()
-            assert p.shape == (batch, n, n)
+            j = np.argmin(np.where(alive, metric, np.inf), axis=1)
+            assert downdate_inverse_batch(p, j).all()
+            alive[rows, j] = False
+            assert p.shape == (batch, n_t, n_t)
+            assert not p[rows, j].any() and not p[rows, :, j].any()
+            sub = survivors(p, alive)
             for b in range(batch):
-                del cols[b][j[b]]
-                h_b = h[b][:, cols[b]]
+                h_b = h[b][:, alive[b]]
                 a = h_b.conj().T @ h_b + reg * np.eye(n)
                 if domain[b]:
-                    assert np.linalg.norm(a @ p[b] - np.eye(n)) < 1e-9, (b, n)
+                    assert np.linalg.norm(a @ sub[b] - np.eye(n)) < 1e-9, (b, n)
             metric = np.diagonal(p, axis1=1, axis2=2).real
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_equals_gather_reference_exactly(self, n):
         rng = np.random.default_rng(80 + n)
+        rows = np.arange(256)
         h = gen_channel_batch(256, n + 1, n, make_stream(80 + n, 0))
         p, _, ok = nulling_batch(h, "mmse", SnrSpec(20.0))
         assert ok.all()
         p[:3, 0, 0] = [-1.0, 0.0, np.nan]  # bad pivots where j = 0
-        j = rng.integers(0, n, 256)
-        j[:3] = 0
-        while p.shape[1] > 1:
-            got, ok_got = downdate_inverse_batch(p, j)
-            want, ok_want = downdate_reference(p, j)
-            assert np.array_equal(ok_got, ok_want)
-            assert np.array_equal(got, want)
-            p = want
-            j = rng.integers(0, p.shape[1], 256)
+        pos = rng.integers(0, n, 256)  # the stream to remove, among the survivors
+        pos[:3] = 0
+        alive = np.ones((256, n), dtype=bool)
+        for m in range(n, 1, -1):
+            want, ok_want = downdate_reference(survivors(p, alive), pos)
+            j = np.broadcast_to(np.arange(n), (256, n))[alive].reshape(256, m)[rows, pos]
+            assert np.array_equal(downdate_inverse_batch(p, j), ok_want)
+            alive[rows, j] = False
+            assert np.array_equal(survivors(p, alive), want)
+            assert not p[rows, j].any() and not p[rows, :, j].any()
+            pos = rng.integers(0, m - 1, 256)
 
     def test_bad_pivot_flagged_and_kept_finite(self):
         p = np.broadcast_to(np.eye(3, dtype=np.complex128), (4, 3, 3)).copy()
         p[1, 2, 2] = -1.0
         p[2, 2, 2] = 0.0
         p[3, 2, 2] = np.nan
-        out, ok = downdate_inverse_batch(p, np.full(4, 2))
+        ok = downdate_inverse_batch(p, np.full(4, 2))
         assert ok.tolist() == [True, False, False, False]
-        assert np.isfinite(out).all()
-        assert np.array_equal(out[0], np.eye(2))
+        assert np.isfinite(p).all()
+        assert np.array_equal(p[0], np.diag([1.0, 1.0, 0.0]))
+        assert not p[:, 2].any() and not p[:, :, 2].any()
 
 
 class TestMlBatch:

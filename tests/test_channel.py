@@ -32,6 +32,38 @@ class TestSnrSpec:
             assert s.noise_var == 1.0 / s.snr_linear
 
 
+def box_muller_from_spec(seed, stream, n):
+    """``n`` N(0, 1) samples as the ``philox4x64+box-muller`` chain specifies
+    them: ``(n + 1) // 2`` uniforms ``u1``, then as many ``u2``, from the
+    Philox4x64 generator keyed ``[seed, stream]``; pair k yields
+    ``r cos t`` then ``r sin t`` with ``r = sqrt(-2 log(1 - u1))`` and
+    ``t = 2 pi u2``."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    pairs = (n + 1) // 2
+    u1 = gen.random(pairs)
+    u2 = gen.random(pairs)
+    r = np.sqrt(-2.0 * np.log(1.0 - u1))
+    t = 2.0 * np.pi * u2
+    return np.column_stack([r * np.cos(t), r * np.sin(t)]).ravel()[:n]
+
+
+class TestBoxMullerChain:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1001, 4096])
+    def test_standard_normal_bits_match_spec(self, n):
+        got = standard_normal(make_stream(11, n), (n,))
+        want = box_muller_from_spec(11, n, n)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (64, 4, 4)])
+    def test_complex_normal_bits_match_spec(self, shape):
+        var = 0.3
+        got = complex_normal(make_stream(12, 1), shape, var)
+        z = box_muller_from_spec(12, 1, 2 * int(np.prod(shape))) * np.sqrt(var / 2.0)
+        assert got.dtype == np.complex128 and got.shape == shape
+        assert got.tobytes() == z.tobytes()  # real and imaginary parts interleaved
+
+
 class TestStreams:
     def test_same_key_reproduces(self):
         a = make_stream(42, 7).random(16)

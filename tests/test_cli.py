@@ -410,6 +410,35 @@ class TestBoundaryInputs:
         assert repr(key) in res.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, value", [("iter-sweep", "policy", "feedback"), ("bench", "iters", 3)]
+    )
+    def test_rerun_refuses_key_the_command_does_not_read(self, tmp_path, valid_manifest, command, key, value):
+        data = json.loads(json.dumps(valid_manifest))
+        data["command"] = command
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(data))
+        with mock.patch.dict(cli.COMMANDS, {command: cli.COMMANDS[command]._replace(run=lambda r: ({}, None, None))}):
+            # at its default the key passes; the command runs nothing here
+            assert run_cli(["rerun", str(manifest), "--out", str(tmp_path / "default")]).exit_code == 0
+            data["config"][key] = value
+            manifest.write_text(json.dumps(data))
+            res = CliRunner().invoke(main, ["rerun", str(manifest), "--out", str(tmp_path / "o")])
+        assert res.exit_code != 0
+        assert f"{command} does not read config key {key!r}" in res.output and repr(value) in res.output
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_records_versions_and_machine(self, valid_manifest):
+        import platform
+
+        import numpy as np
+
+        from osicsim.harness import _machine_note
+
+        assert valid_manifest["python"] == platform.python_version()
+        assert valid_manifest["numpy"] == np.__version__
+        assert valid_manifest["machine"] == _machine_note()
+
     @pytest.mark.parametrize("key", list(OPTIONS))
     @settings(derandomize=True, max_examples=10, deadline=None)
     @given(data=st.data())

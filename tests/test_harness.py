@@ -166,6 +166,48 @@ class TestGoldenCounts:
             (22.0, 7, 511, 65536),
         ]
 
+    def test_ber_sweep_8x8_qam16_mmse_intermediate_depths(self):
+        # 6 and 4 surviving streams reach the final linear block
+        cfg = SweepConfig(snr_db_list=(16.0, 22.0), iters_list=(2, 4), min_symbols=MIN_SYMBOLS_FLOOR, seed=7)
+        assert [(p.snr_db, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg)] == [
+            (16.0, 2, 5594, 65536),
+            (16.0, 4, 5160, 65536),
+            (22.0, 2, 1131, 65536),
+            (22.0, 4, 476, 65536),
+        ]
+
+    def test_ber_sweep_4x4_qpsk_mmse_intermediate_depths(self):
+        cfg = SweepConfig(
+            n_t=4, n_r=4, modulation="qpsk", core="mmse", snr_db_list=(8.0, 14.0), iters_list=(1, 2),
+            min_symbols=MIN_SYMBOLS_FLOOR, seed=7,
+        )
+        assert [(p.snr_db, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg)] == [
+            (8.0, 1, 1588, 24576),
+            (8.0, 2, 1422, 24576),
+            (14.0, 1, 320, 24576),
+            (14.0, 2, 167, 24576),
+        ]
+
+    def test_compare_policies_cell(self):
+        # three depths (4, 1, 7) on the shared draws of one cell
+        from osicsim.policy import CalibrationTable
+
+        table = CalibrationTable(
+            np.array([16.0, 16.0, 16.0, 16.0, 34.0, 34.0, 34.0, 34.0]),
+            np.array([1, 2, 3, 4, 1, 2, 3, 4]),
+            np.array([5e-2, 3e-2, 2e-2, 1.5e-2, 8e-4, 2e-4, 1e-4, 8e-5]),
+            np.array([100_000] * 8),
+            {"mod": "qam16", "nt": 8, "nr": 8, "core": "mmse"},
+        )
+        cfg = SweepConfig(
+            snr_db_list=(20.0,), iters_list=None, min_symbols=MIN_SYMBOLS_FLOOR, seed=7, target_ber=3e-2
+        )
+        assert [(p.policy, p.n_i, p.bit_errors, p.total_bits) for p in compare_policies(cfg, table)] == [
+            ("formula", 4, 1403, 65536),
+            ("feedback", 1, 2785, 65536),
+            ("ordinary", 7, 1181, 65536),
+        ]
+
     def test_linear_sweep_4x4_qpsk_zf(self):
         cfg = SweepConfig(
             n_t=4, n_r=4, modulation="qpsk", core="zf", snr_db_list=(0.0, 10.0),

@@ -7,6 +7,8 @@ oracles. The pseudo-inverse contract is checked on the ZF nulling matrix,
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from osicsim.batched import inverse_batch
 from osicsim.channel import SnrSpec
@@ -18,18 +20,18 @@ def rand_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def unitary(rng, n):
+    q, r = np.linalg.qr(rand_complex(rng, n, n))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def gram_with_condition(rng, n, cond, count):
     """``count`` Hermitian ``H^H H`` of condition number ``cond``: ``H = U diag(s) V^H``
     with random unitary ``U``, ``V`` and singular values from 1 down to ``cond**-0.5``."""
-
-    def unitary():
-        q, r = np.linalg.qr(rand_complex(rng, n, n))
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
     s = np.geomspace(1.0, cond**-0.5, n)
     out = []
     for _ in range(count):
-        h = (unitary() * s) @ unitary().conj().T
+        h = (unitary(rng, n) * s) @ unitary(rng, n).conj().T
         out.append(h.conj().T @ h)
     return np.stack(out)
 
@@ -81,6 +83,28 @@ class TestInverse:
             assert ok.all()
         residual = np.linalg.norm(a @ inv - np.eye(8), axis=(1, 2))
         assert residual.max() < 1e-9, residual.max()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        log_cond=st.floats(0.0, 6.0, exclude_max=True),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_residual_property_below_condition_1e6(self, seed, n, log_cond, log_scale):
+        """The documented tolerance on random complex matrices ``U diag(s) V^H``
+        of condition number below 1e6 and any scale, for both
+        implementations; the batched one equals the scalar one exactly."""
+        rng = np.random.default_rng(seed)
+        s = 10.0**log_scale * np.geomspace(1.0, 10.0**-log_cond, n)
+        a = np.stack([(unitary(rng, n) * s) @ unitary(rng, n).conj().T for _ in range(4)])
+        assume((np.linalg.cond(a) < 1e6).all())
+        inv, ok = inverse_batch(a)
+        assert ok.all()
+        for b in range(4):
+            want = inverse(a[b])
+            assert np.linalg.norm(a[b] @ want - np.eye(n)) < 1e-9
+            assert np.array_equal(inv[b], want)
 
     def test_singular_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
