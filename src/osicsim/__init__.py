@@ -15,8 +15,6 @@ from .harness import BenchReport, BerPoint, SweepConfig, bench_complexity, calib
 from .modem import QAM16, QPSK, Constellation, get_constellation
 from .policy import (
     CalibrationTable,
-    IterationPolicy,
-    SnrEstimate,
     estimate_snr,
     feedback_iters,
     formula_iters,
@@ -29,5 +27,5 @@ __all__ = [
     "DetectionTrace", "DetectorSpec", "ml_detect", "nulling_matrix", "vblast_detect",
     "BenchReport", "BerPoint", "SweepConfig", "bench_complexity", "calibrate", "compare_policies", "run_ber_sweep",
     "QAM16", "QPSK", "Constellation", "get_constellation",
-    "CalibrationTable", "IterationPolicy", "SnrEstimate", "estimate_snr", "feedback_iters", "formula_iters", "n_imax",
+    "CalibrationTable", "estimate_snr", "feedback_iters", "formula_iters", "n_imax",
 ]

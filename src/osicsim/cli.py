@@ -54,7 +54,7 @@ from .harness import (
     run_ber_sweep,
     run_linear_sweep,
 )
-from .policy import CalibrationTable, IterationPolicy, formula_iters
+from .policy import CalibrationTable, formula_iters
 
 
 class Option(NamedTuple):
@@ -280,6 +280,13 @@ Result = tuple[dict[str, str], list | None, dict | None]
 
 
 def _ber_result(command: str, cfg: SweepConfig, points, calib: dict | None = None) -> Result:
+    for p in points:
+        if p.capped:
+            click.echo(
+                f"warning: {p.policy} n_i={p.n_i} at {p.snr_db:g} dB stopped at the symbol budget "
+                f"with {p.bit_errors} bit errors, short of min_errors={cfg.min_errors}",
+                err=True,
+            )
     files = {f"{command.replace('-', '_')}.csv": format_ber_csv(points, cfg, command)}
     plot_rows = [(p.policy if p.policy != "fixed" else f"n_i={p.n_i}", p.snr_db, p.ber) for p in points]
     return files, plot_rows, calib
@@ -291,14 +298,11 @@ def _ber_sweep(resolved: dict) -> Result:
         # a linear run nulls with the detector itself, so its CSV header names that core
         cfg = _sweep_config({**resolved, "core": detector})
         return _ber_result("ber-sweep", cfg, run_linear_sweep(cfg, detector))
-    kind = resolved["policy"]
-    if kind == "fixed":
-        n = resolved["iters"] if resolved["iters"] is not None else resolved["nt"] - 1
-        policy = IterationPolicy("fixed", fixed_n=n, target_ber=resolved["target_ber"])
-    else:
-        policy = IterationPolicy(kind, target_ber=resolved["target_ber"])
-    table, calib = _load_table(resolved) if kind == "feedback" else (None, None)
-    cfg = _sweep_config(resolved, policy=policy)
+    # a fixed count is an iters_list entry, not a policy; None runs nt - 1
+    policy = None if resolved["policy"] == "fixed" else resolved["policy"]
+    iters_list = None if resolved["iters"] is None else (resolved["iters"],)
+    table, calib = _load_table(resolved) if policy == "feedback" else (None, None)
+    cfg = _sweep_config(resolved, iters_list=iters_list, policy=policy)
     return _ber_result("ber-sweep", cfg, run_ber_sweep(cfg, table), calib)
 
 

@@ -11,11 +11,22 @@ count and any scheduling: workers only decide *who* runs a cell, never
 *what* it draws. Timing columns are the one exception; wall-clock numbers
 differ run to run and are excluded from all determinism contracts.
 
+Detection depths
+----------------
+A run names each detection depth one way, and ``_iterations`` resolves
+every name to an iteration count at one SNR point: ``ordinary``
+(``n_t - 1``), ``fixed_nimax`` (``n_imax``), and the two policies
+``formula`` and ``feedback`` of :mod:`osicsim.policy`, which read the
+point's SNR estimate and, for feedback, the calibration table against
+``SweepConfig.target_ber``. A fixed count is not a policy: it is an entry
+of ``SweepConfig.iters_list``.
+
 Stopping rule
 -------------
 Each cell accumulates batches until it has seen at least ``min_symbols``
 transmitted symbols and ``min_errors`` bit errors per variant, and gives
-up at ``100 * min_symbols`` symbols. At the default thresholds a measured
+up at ``100 * min_symbols`` symbols; a point that stopped there short of
+``min_errors`` is marked ``capped``. At the default thresholds a measured
 point carries roughly <= 10% relative standard error. Statistical
 assertions in the test suite (stream independence, K-invariance) use
 fixed seeds, so they are deterministic in practice; re-seeding them is the
@@ -55,12 +66,9 @@ from .detectors import NULLING_CORES, DetectorSpec, vblast_detect
 from .modem import Constellation, bits_to_indices, get_constellation
 from .policy import (
     CalibrationTable,
-    IterationPolicy,
-    SnrEstimate,
-    check_target_ber,
-    decide_iterations,
     estimate_snr,
     feedback_detect,
+    feedback_iters,
     formula_iters,
     n_imax,
 )
@@ -82,6 +90,10 @@ SYMBOL_BUDGET_FACTOR = 100
 
 BENCH_WARMUP_CALLS = 100
 
+POLICIES = ("formula", "feedback")
+COMPARE_VARIANTS = ("formula", "feedback", "ordinary")
+BENCH_VARIANTS = ("ordinary", "fixed_nimax", "formula", "feedback")
+
 
 class ConfigError(ValueError):
     """Raised for invalid sweep configurations."""
@@ -102,7 +114,7 @@ class SweepConfig:
     core: str = "mmse"
     snr_db_list: tuple = (16.0, 18.0, 20.0, 22.0, 24.0, 26.0, 28.0, 30.0, 32.0, 34.0)
     iters_list: tuple | None = None
-    policy: IterationPolicy | None = None
+    policy: str | None = None  # formula | feedback; None runs iters_list
     min_symbols: int = 10_000
     min_errors: int = 100
     seed: int = 1
@@ -139,22 +151,32 @@ class SweepConfig:
             raise ConfigError(f"snr_est must be genie or pilot, got {self.snr_est!r}")
         if self.pilot_uses < 1:
             raise ConfigError(f"pilot_uses must be >= 1, got {self.pilot_uses}")
+        if self.policy is not None and self.policy not in POLICIES:
+            raise ConfigError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
+        if self.policy is not None and self.iters_list is not None:
+            raise ConfigError(
+                f"set policy or iters_list, not both: policy={self.policy!r} picks the count, "
+                f"iters_list={self.iters_list!r} would be ignored"
+            )
         if self.iters_list is not None:
             for n in self.iters_list:
                 if not (0 <= n <= self.n_t - 1):
                     raise ConfigError(f"iterations {n} outside [0, {self.n_t - 1}] (n_t = {self.n_t})")
         if self.bench_detections < 100:
             raise ConfigError(f"bench_detections must be >= 100, got {self.bench_detections}")
-        try:
-            check_target_ber(self.target_ber)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        if not (0.0 < self.target_ber < 0.5):  # 0.5 is the BER of a coin toss
+            raise ConfigError(f"target_ber must lie in (0, 0.5), got {self.target_ber}")
         return self
 
 
 @dataclass
 class BerPoint:
-    """One measured (SNR, variant) cell of a sweep."""
+    """One measured (SNR, variant) cell of a sweep.
+
+    ``capped`` is True when the cell stopped at the symbol budget
+    (``SYMBOL_BUDGET_FACTOR * min_symbols``) with this point still short
+    of ``min_errors``, so its BER carries fewer errors than asked for.
+    """
 
     snr_db: float
     n_i: int
@@ -162,6 +184,7 @@ class BerPoint:
     bit_errors: int
     total_bits: int
     mean_detect_ns: int
+    capped: bool
 
     @property
     def ber(self) -> float:
@@ -196,7 +219,6 @@ class BenchReport:
 @dataclass(frozen=True)
 class _Variant:
     tag: str
-    core: str
     n_i: int
 
 
@@ -224,18 +246,26 @@ def _draw(cfg: SweepConfig, c: Constellation, count: int, noise_var: float, rng)
     return h, tx_idx, noise, transmit_batch(h, c.points[tx_idx], noise)
 
 
-def _run_cell(cfg: SweepConfig, cell: _Cell) -> list[dict]:
+def _run_cell(cfg: SweepConfig, cell: _Cell) -> list[BerPoint]:
     c = get_constellation(cfg.modulation)
     link = link_snr(cell.snr_db, cfg.n_t)
     rng = make_stream(cfg.seed, cell.stream)
     batch = _batch_vectors(cfg.subcarriers)
-    bps = c.bits_per_symbol
     cap_symbols = SYMBOL_BUDGET_FACTOR * cfg.min_symbols
 
-    acc = {
-        v.tag: {"errors": 0, "detect_ns": 0, "detections": 0}
-        for v in cell.variants
-    }
+    def detect(h, y):
+        """Each variant's detected indices and detect time, and where every variant detected."""
+        outs, times, ok = [], [], np.ones(len(h), dtype=bool)
+        for v in cell.variants:
+            t0 = time.perf_counter_ns()
+            out, _, ok_v = vblast_indices_batch(h, y, cfg.core, v.n_i, link, c)
+            times.append(time.perf_counter_ns() - t0)
+            outs.append(out)
+            ok &= ok_v
+        return outs, times, ok
+
+    errors = [0] * len(cell.variants)
+    detect_ns = [0] * len(cell.variants)
     symbols = 0
     retries = 0
     draws = 0
@@ -243,22 +273,13 @@ def _run_cell(cfg: SweepConfig, cell: _Cell) -> list[dict]:
     while symbols < cap_symbols:
         h, tx_idx, noise, y = _draw(cfg, c, batch, link.noise_var, rng)
         draws += batch
-
-        outs = {}
-        oks = {}
-        for v in cell.variants:
-            t0 = time.perf_counter_ns()
-            out, _, ok = vblast_indices_batch(h, y, v.core, v.n_i, link, c)
-            acc[v.tag]["detect_ns"] += time.perf_counter_ns() - t0
-            acc[v.tag]["detections"] += batch
-            outs[v.tag] = out
-            oks[v.tag] = ok
+        outs, times, ok = detect(h, y)
 
         # rank-deficient instances (measure-zero for Rayleigh draws) get a
         # fresh channel, kept consistent across all variants of the cell;
         # bits and noise are reused
         rounds = 0
-        bad = np.flatnonzero(~np.logical_and.reduce(list(oks.values())))
+        bad = np.flatnonzero(~ok)
         while bad.size:
             rounds += 1
             if rounds > _MAX_REDRAW_ROUNDS:
@@ -267,38 +288,26 @@ def _run_cell(cfg: SweepConfig, cell: _Cell) -> list[dict]:
             draws += bad.size
             h[bad] = gen_channel_batch(bad.size, cfg.n_r, cfg.n_t, rng)
             y[bad] = transmit_batch(h[bad], c.points[tx_idx[bad]], noise[bad])
-            for v in cell.variants:
-                out_bad, _, ok_bad = vblast_indices_batch(h[bad], y[bad], v.core, v.n_i, link, c)
-                outs[v.tag][bad] = out_bad
-                oks[v.tag][bad] = ok_bad
-            bad = np.flatnonzero(~np.logical_and.reduce(list(oks.values())))
+            redone, _, ok_bad = detect(h[bad], y[bad])
+            for out, out_bad in zip(outs, redone):
+                out[bad] = out_bad
+            bad = bad[~ok_bad]
 
-        for v in cell.variants:
-            acc[v.tag]["errors"] += count_bit_errors(tx_idx, outs[v.tag])
-
+        for k, out in enumerate(outs):
+            errors[k] += count_bit_errors(tx_idx, out)
+            detect_ns[k] += times[k]
         symbols += batch * cfg.n_t
-        if symbols >= cfg.min_symbols and all(
-            a["errors"] >= cfg.min_errors for a in acc.values()
-        ):
+        if symbols >= cfg.min_symbols and min(errors) >= cfg.min_errors:
             break
 
     if retries > 0.001 * draws:
         raise RankRetryError(f"{retries} rank redraws out of {draws} draws exceeds 0.1%")
 
-    results = []
-    for v in cell.variants:
-        a = acc[v.tag]
-        results.append(
-            {
-                "snr_db": cell.snr_db,
-                "n_i": v.n_i,
-                "policy": v.tag,
-                "bit_errors": a["errors"],
-                "total_bits": symbols * bps,
-                "mean_detect_ns": int(a["detect_ns"] / max(1, a["detections"])),
-            }
-        )
-    return results
+    vectors = symbols // cfg.n_t
+    return [
+        BerPoint(cell.snr_db, v.n_i, v.tag, e, symbols * c.bits_per_symbol, int(ns / vectors), e < cfg.min_errors)
+        for v, e, ns in zip(cell.variants, errors, detect_ns)
+    ]
 
 
 def _run_cells(cfg: SweepConfig, cells: list[_Cell]) -> list[BerPoint]:
@@ -307,24 +316,34 @@ def _run_cells(cfg: SweepConfig, cells: list[_Cell]) -> list[BerPoint]:
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             chunks = list(pool.map(_run_cell, [cfg] * len(cells), cells))
-    points = []
-    for chunk in chunks:
-        for row in chunk:
-            points.append(BerPoint(**row))
-    return points
+    return [point for chunk in chunks for point in chunk]
 
 
-def _point_estimate(cfg: SweepConfig, snr_db: float, point_index: int) -> SnrEstimate:
-    """Operating-SNR estimate for one sweep point, on the nominal axis."""
+def _point_estimate(cfg: SweepConfig, snr_db: float, point_index: int) -> float:
+    """Operating-SNR estimate in dB for one sweep point, on the nominal axis."""
     if cfg.snr_est == "genie":
-        return SnrEstimate(snr_db, "genie")
+        return snr_db
     c = get_constellation(cfg.modulation)
     link = link_snr(snr_db, cfg.n_t)
     rng = make_stream(cfg.seed, _PILOT_STREAM_BASE + point_index)
     h, pilot_idx, _, y = _draw(cfg, c, cfg.pilot_uses, link.noise_var, rng)
-    est = estimate_snr(y, h, c.points[pilot_idx])
     # estimate_snr measures per-unit-symbol-energy SNR; shift to nominal axis
-    return SnrEstimate(est.snr_db + 10.0 * math.log10(cfg.n_t), "pilot")
+    return estimate_snr(y, h, c.points[pilot_idx]) + 10.0 * math.log10(cfg.n_t)
+
+
+def _iterations(name: str, cfg: SweepConfig, est_db: float, table: CalibrationTable | None) -> int:
+    """Iteration count of detection depth ``name`` at the SNR estimate ``est_db``.
+
+    ``ordinary`` and ``fixed_nimax`` do not read the estimate; ``feedback``
+    looks ``est_db`` up in ``table`` against ``cfg.target_ber``.
+    """
+    if name == "ordinary":
+        return cfg.n_t - 1
+    if name == "fixed_nimax":
+        return n_imax(cfg.n_t)
+    if name == "formula":
+        return formula_iters(est_db, cfg.n_t)
+    return feedback_iters(est_db, table, cfg.target_ber, cfg.n_t)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +353,16 @@ def _point_estimate(cfg: SweepConfig, snr_db: float, point_index: int) -> SnrEst
 def run_ber_sweep(cfg: SweepConfig, table: CalibrationTable | None = None) -> list[BerPoint]:
     """Measure BER for every (SNR, variant) cell of the configuration.
 
-    Variants come from ``cfg.iters_list`` (tag ``fixed``, ``[0]`` included)
-    or from ``cfg.policy`` (tagged with its kind), resolved to a concrete
-    iteration count per SNR point before any cell is dispatched; a pure
-    linear run tagged ``zf``/``mmse`` is ``run_linear_sweep``.
+    Variants come from ``cfg.iters_list`` (tag ``fixed``, ``[0]`` included;
+    ``None`` runs ``n_t - 1``) or from ``cfg.policy`` (tagged with its
+    name), resolved by ``_iterations`` per SNR point before any cell is
+    dispatched; a pure linear run tagged ``zf``/``mmse`` is
+    ``run_linear_sweep``.
     Deterministic given (seed, config); the worker count never changes
     counts, only wall-clock.
     """
     cfg.validate()
-    if cfg.policy is not None and cfg.policy.kind == "feedback":
+    if cfg.policy == "feedback":
         if table is None:
             raise ConfigError("feedback policy requires a calibration table")
         table.validate_for(cfg.modulation, cfg.n_t, cfg.core)
@@ -350,27 +370,26 @@ def run_ber_sweep(cfg: SweepConfig, table: CalibrationTable | None = None) -> li
     cells = []
     for pi, snr_db in enumerate(cfg.snr_db_list):
         if cfg.policy is not None:
-            est = _point_estimate(cfg, snr_db, pi)
-            n = decide_iterations(cfg.policy, est, cfg.n_t, table)
-            variants = (_Variant(cfg.policy.kind, cfg.core, n),)
+            n = _iterations(cfg.policy, cfg, _point_estimate(cfg, snr_db, pi), table)
+            variants = (_Variant(cfg.policy, n),)
         else:
             iters = cfg.iters_list if cfg.iters_list is not None else (cfg.n_t - 1,)
-            variants = tuple(_Variant("fixed", cfg.core, n) for n in iters)
+            variants = tuple(_Variant("fixed", n) for n in iters)
         for v in variants:
             cells.append(_Cell(snr_db, len(cells) + 1, (v,)))
     return _run_cells(cfg, cells)
 
 
 def run_linear_sweep(cfg: SweepConfig, detector: str) -> list[BerPoint]:
-    """BER sweep of a pure linear detector (``zf`` or ``mmse``)."""
+    """BER sweep of a pure linear detector (``zf`` or ``mmse``), whatever ``cfg.core`` says."""
     cfg.validate()
     if detector not in NULLING_CORES:
         raise ConfigError(f"unknown linear detector {detector!r}")
     cells = [
-        _Cell(snr_db, i + 1, (_Variant(detector, detector, 0),))
+        _Cell(snr_db, i + 1, (_Variant(detector, 0),))
         for i, snr_db in enumerate(cfg.snr_db_list)
     ]
-    return _run_cells(cfg, cells)
+    return _run_cells(replace(cfg, core=detector), cells)
 
 
 def calibrate(cfg: SweepConfig):
@@ -422,19 +441,10 @@ def compare_policies(cfg: SweepConfig, table: CalibrationTable) -> list[BerPoint
     """
     cfg.validate()
     table.validate_for(cfg.modulation, cfg.n_t, cfg.core)
-    target = cfg.target_ber
     cells = []
     for pi, snr_db in enumerate(cfg.snr_db_list):
-        est = _point_estimate(cfg, snr_db, pi)
-        n_formula = decide_iterations(IterationPolicy("formula", target_ber=target), est, cfg.n_t)
-        n_feedback = decide_iterations(
-            IterationPolicy("feedback", target_ber=target), est, cfg.n_t, table
-        )
-        variants = (
-            _Variant("formula", cfg.core, n_formula),
-            _Variant("feedback", cfg.core, n_feedback),
-            _Variant("ordinary", cfg.core, cfg.n_t - 1),
-        )
+        est_db = _point_estimate(cfg, snr_db, pi)
+        variants = tuple(_Variant(name, _iterations(name, cfg, est_db, table)) for name in COMPARE_VARIANTS)
         cells.append(_Cell(snr_db, pi + 1, variants))
     return _run_cells(cfg, cells)
 
@@ -480,32 +490,21 @@ def bench_complexity(cfg: SweepConfig, table: CalibrationTable) -> BenchReport:
     cfg.validate()
     table.validate_for(cfg.modulation, cfg.n_t, cfg.core)
     c = get_constellation(cfg.modulation)
-    nmax = n_imax(cfg.n_t)
-    target = cfg.target_ber
-
-    feedback = IterationPolicy("feedback", target_ber=target)
-    iterations_of = {
-        "ordinary": lambda est: cfg.n_t - 1,
-        "fixed_nimax": lambda est: nmax,
-        "formula": lambda est: formula_iters(est.snr_db, cfg.n_t),
-        "feedback": lambda est: decide_iterations(feedback, est, cfg.n_t, table),
-    }
-    variant_names = list(iterations_of)
+    estimates = [_point_estimate(cfg, snr_db, pi) for pi, snr_db in enumerate(cfg.snr_db_list)]
     count = BENCH_WARMUP_CALLS + cfg.bench_detections
     rows: list[BenchRow] = []
     stream = 0
-    for name in variant_names:
-        for pi, snr_db in enumerate(cfg.snr_db_list):
+    for name in BENCH_VARIANTS:
+        for snr_db, est_db in zip(cfg.snr_db_list, estimates):
             stream += 1
-            est = _point_estimate(cfg, snr_db, pi)
             link = link_snr(snr_db, cfg.n_t)
             rng = make_stream(cfg.seed, _PILOT_STREAM_BASE // 2 + stream)
             h, tx_idx, _, y = _draw(cfg, c, count, link.noise_var, rng)
 
-            n_i = iterations_of[name](est)
+            n_i = _iterations(name, cfg, est_db, table)
             if name == "feedback":  # restarted passes plus per-candidate lookups
                 fn = lambda hb, yb: feedback_detect(
-                    hb, yb, cfg.core, link, c, table, target, est.snr_db
+                    hb, yb, cfg.core, link, c, table, cfg.target_ber, est_db
                 )[0]
             else:
                 spec = DetectorSpec(cfg.core, n_i)
@@ -531,10 +530,10 @@ def bench_complexity(cfg: SweepConfig, table: CalibrationTable) -> BenchReport:
 
     band_mean = {
         name: float(np.mean([r.mean_ns for r in rows if r.variant == name]))
-        for name in variant_names
+        for name in BENCH_VARIANTS
     }
     base = band_mean["ordinary"]
-    summary = [(name, band_mean[name], 100.0 * band_mean[name] / base) for name in variant_names]
+    summary = [(name, band_mean[name], 100.0 * band_mean[name] / base) for name in BENCH_VARIANTS]
     return BenchReport(rows, summary, _machine_note(), cfg.bench_detections)
 
 

@@ -1,9 +1,9 @@
-"""Iteration-count policies for the truncated V-BLAST detector.
+"""Iteration-count rules for the truncated V-BLAST detector.
 
-Three policies decide how many cancellation iterations to run at a given
-operating SNR:
+Two policies pick how many cancellation iterations to run from the
+operating SNR (a fixed count is not a policy: it is the sweep's
+``iters_list``):
 
-* ``fixed``: a constant iteration count;
 * ``formula``: the closed-form fit
   ``N_i = min(floor(n_t / 2), max(1, round((53 - 2 * snr_db) / 3)))`` with
   round-half-away-from-zero. The linear term is a least-surprise fit of
@@ -16,7 +16,10 @@ operating SNR:
   ``(snr_db, log10 ber)`` between bracketing rows. Estimates below the
   table's SNR range yield ``n_imax``, above it ``1``.
 
-One policy decision is made per SNR operating point, not per vector.
+The functions here take the SNR estimate in dB and the target BER as
+plain arguments; the harness resolves every detection depth of a run in
+one place (``harness._iterations``), once per SNR operating point, with
+the target from ``SweepConfig.target_ber``.
 
 ``feedback_detect`` models the feedback receiver's cost structure: each
 candidate count runs a fresh truncated detection pass (the
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,13 +49,6 @@ SNR_ESTIMATE_CAP_DB = 60.0
 
 class CalibrationError(ValueError):
     """Raised for empty, incomplete or mismatched calibration tables."""
-
-
-def check_target_ber(target_ber: float) -> None:
-    """Raise ``ValueError`` unless ``0 < target_ber < 0.5``, the one domain of
-    every target BER (0.5 is the BER of a coin toss)."""
-    if not (0.0 < target_ber < 0.5):
-        raise ValueError(f"target_ber must lie in (0, 0.5), got {target_ber}")
 
 
 def n_imax(n_t: int) -> int:
@@ -76,14 +73,6 @@ def formula_iters(snr_db: float, n_t: int) -> int:
     if not math.isfinite(snr_db):
         raise ValueError(f"formula_iters needs a finite SNR, got {snr_db}")
     return min(n_imax(n_t), max(1, _round_half_away((53.0 - 2.0 * snr_db) / 3.0)))
-
-
-@dataclass(frozen=True)
-class SnrEstimate:
-    """An SNR operating-point estimate and where it came from."""
-
-    snr_db: float
-    source: str = "genie"  # genie | pilot
 
 
 def _snr_text(snr_db: float) -> str:
@@ -193,8 +182,8 @@ class CalibrationTable:
         meta = {}
         rows = []
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
+            for ln, raw in enumerate(fh, 1):
+                line = raw.strip()
                 if not line:
                     continue
                 if line.startswith("#"):
@@ -205,21 +194,26 @@ class CalibrationTable:
                     continue
                 if line.startswith("snr_db"):
                     continue
-                s, n, b, m = line.split(",")
-                rows.append((float(s), int(n), float(b), int(m)))
+                try:
+                    s, n, b, m = line.split(",")
+                    rows.append((float(s), int(n), float(b), int(m)))
+                except ValueError:
+                    raise CalibrationError(
+                        f"{path}:{ln}: expected snr_db,n_i,ber,symbols (numbers; n_i and symbols integers), got {line!r}"
+                    ) from None
         if not rows:
             raise CalibrationError(f"no data rows in calibration file {path}")
         arr = list(zip(*rows))
         return cls(np.array(arr[0]), np.array(arr[1]), np.array(arr[2]), np.array(arr[3]), meta)
 
 
-def feedback_iters(est, table: CalibrationTable, target_ber: float, n_t: int) -> int:
-    """Smallest ``n`` in ``[1, n_imax]`` whose table BER meets the target.
+def feedback_iters(snr_db: float, table: CalibrationTable, target_ber: float, n_t: int) -> int:
+    """Smallest ``n`` in ``[1, n_imax]`` whose table BER meets the target at the estimate ``snr_db``.
 
     Returns ``n_imax`` when no count qualifies (including estimates below
     the table's SNR range) and ``1`` for estimates above it.
     """
-    snr_db = est.snr_db if isinstance(est, SnrEstimate) else float(est)
+    snr_db = float(snr_db)
     if not math.isfinite(snr_db):
         raise ValueError(f"SNR estimate must be finite, got {snr_db}")
     nmax = n_imax(n_t)
@@ -229,8 +223,8 @@ def feedback_iters(est, table: CalibrationTable, target_ber: float, n_t: int) ->
     return nmax
 
 
-def estimate_snr(y_pilot, h, x_pilot) -> SnrEstimate:
-    """Pilot-aided SNR estimate from known transmit blocks.
+def estimate_snr(y_pilot, h, x_pilot) -> float:
+    """Pilot-aided SNR estimate in dB from known transmit blocks.
 
     ``y_pilot``/``x_pilot`` may be single vectors or stacks of pilot uses
     (leading axis); ``h`` is the known channel, either shared across uses
@@ -255,8 +249,8 @@ def estimate_snr(y_pilot, h, x_pilot) -> SnrEstimate:
     n_r = y.shape[1]
     noise_var = float(np.mean(np.sum(np.abs(y - hx) ** 2, axis=1) / n_r))
     if noise_var <= 0.0:
-        return SnrEstimate(SNR_ESTIMATE_CAP_DB, "pilot")
-    return SnrEstimate(min(SNR_ESTIMATE_CAP_DB, -10.0 * math.log10(noise_var)), "pilot")
+        return SNR_ESTIMATE_CAP_DB
+    return min(SNR_ESTIMATE_CAP_DB, -10.0 * math.log10(noise_var))
 
 
 def feedback_detect(
@@ -291,33 +285,20 @@ def feedback_detect(
     return trace, nmax
 
 
-@dataclass(frozen=True)
-class IterationPolicy:
-    """Which policy drives the iteration count, plus its parameters."""
+# Only ``bench/make_reference.py`` still names these two; they go when the
+# benchmark's reference generator is rebound to the harness. The package
+# itself resolves every detection depth in ``harness._iterations``.
+class IterationPolicy(NamedTuple):
+    """A policy name (``formula`` or ``feedback``) and its target BER."""
 
-    kind: str  # fixed | formula | feedback
-    fixed_n: int | None = None
-    target_ber: float = 1e-2
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "formula", "feedback"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "fixed" and self.fixed_n is None:
-            raise ValueError("fixed policy needs an iteration count")
-        check_target_ber(self.target_ber)
+    kind: str
+    target_ber: float
 
 
 def decide_iterations(
-    policy: IterationPolicy, est, n_t: int, table: CalibrationTable | None = None
+    policy: IterationPolicy, snr_db: float, n_t: int, table: CalibrationTable | None = None
 ) -> int:
-    """Resolve a policy to a concrete iteration count at one operating point."""
-    snr_db = est.snr_db if isinstance(est, SnrEstimate) else float(est)
-    if policy.kind == "fixed":
-        if not (0 <= policy.fixed_n <= n_t - 1):
-            raise ValueError(f"fixed iterations {policy.fixed_n} outside [0, {n_t - 1}]")
-        return policy.fixed_n
+    """The iteration count ``policy`` picks at the SNR estimate ``snr_db``."""
     if policy.kind == "formula":
         return formula_iters(snr_db, n_t)
-    if table is None:
-        raise CalibrationError("feedback policy requires a calibration table")
     return feedback_iters(snr_db, table, policy.target_ber, n_t)

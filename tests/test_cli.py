@@ -143,6 +143,18 @@ class TestSubcommands:
         # the manifest keeps the configuration as resolved
         assert json.loads((linear / "ber_sweep_manifest.json").read_text())["config"]["core"] == "mmse"
 
+    def test_capped_point_warns_on_stderr(self, tmp_path):
+        # at 60 dB 2x2 QPSK stops at the symbol budget short of min_errors; 8 dB does not
+        args = ["ber-sweep", "--nt", "2", "--nr", "2", "--mod", "qpsk", "--snr", "8,60", "--iters", "0"]
+        res = run_cli([*args, "--out", str(tmp_path)])
+        assert res.exit_code == 0
+        assert res.stderr.splitlines() == [
+            "warning: fixed n_i=0 at 60 dB stopped at the symbol budget with 2 bit errors, short of min_errors=100"
+        ]
+        rows = (tmp_path / "ber_sweep.csv").read_text().splitlines()
+        assert rows[1] == "snr_db,n_i,policy,bit_errors,total_bits,ber,mean_detect_ns"
+        assert [r.split(",")[:4] for r in rows[2:]][1] == ["60", "0", "fixed", "2"]
+
     def test_iter_sweep_enumerates_counts(self, tmp_path):
         res = run_cli(["iter-sweep", *FAST, "--out", str(tmp_path)])
         assert res.exit_code == 0

@@ -20,7 +20,7 @@ from osicsim.harness import (
     run_linear_sweep,
     _timed_calls,
 )
-from osicsim.policy import IterationPolicy, formula_iters
+from osicsim.policy import CalibrationTable, formula_iters
 
 
 def small_cfg(**kw):
@@ -65,6 +65,11 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             calibrate(small_cfg(snr_db_list=(8.0, 8.0), iters_list=None))
 
+    def test_policy_and_iters_list_exclusive(self):
+        # the policy picks the count, so an iters_list beside it would be ignored
+        with pytest.raises(ConfigError, match="policy.*iters_list"):
+            small_cfg(policy="formula", iters_list=(0, 1)).validate()
+
     def test_link_snr_convention(self):
         # nominal axis derates by 10 log10(n_t) at the link
         assert link_snr(16.0, 8).snr_db == pytest.approx(16.0 - 10 * np.log10(8))
@@ -82,6 +87,15 @@ class TestRunBerSweep:
             # zero errors never satisfies min_errors: budget cap applies,
             # stopping at the first batch boundary at or past the cap
             assert cap_bits <= p.total_bits <= cap_bits + 1024 * 4 * 2
+
+    def test_budget_cap_marks_point(self):
+        # 60 dB 2x2 QPSK makes almost no errors: the cell stops at the cap
+        cfg = small_cfg(n_t=2, n_r=2, subcarriers=64, snr_db_list=(60.0,), iters_list=(0,), seed=1)
+        (p,) = run_ber_sweep(cfg)
+        assert (p.bit_errors, p.capped) == (3, True)
+        assert p.total_bits >= SYMBOL_BUDGET_FACTOR * cfg.min_symbols * 2
+        (met,) = run_ber_sweep(small_cfg(snr_db_list=(0.0,), iters_list=(0,)))
+        assert met.bit_errors >= 100 and not met.capped
 
     def test_very_low_snr_is_coin_flipping(self):
         pts = run_ber_sweep(small_cfg(snr_db_list=(-20.0,), iters_list=(0,)))
@@ -124,7 +138,7 @@ class TestRunBerSweep:
             modulation="qam16",
             snr_db_list=(25.0,),
             iters_list=None,
-            policy=IterationPolicy("formula"),
+            policy="formula",
         )
         pts = run_ber_sweep(cfg)
         assert len(pts) == 1
@@ -145,13 +159,24 @@ class TestRunBerSweep:
             modulation="qam16",
             snr_db_list=(25.0,),
             iters_list=None,
-            policy=IterationPolicy("formula"),
+            policy="formula",
             snr_est="pilot",
             pilot_uses=512,
         )
         pts = run_ber_sweep(cfg)
         # pilot-estimated SNR lands near 25 dB, so the decision matches genie
         assert pts[0].n_i == 1
+
+
+def golden_table() -> CalibrationTable:
+    """A two-SNR 8x8 16-QAM MMSE table for the golden policy counts."""
+    return CalibrationTable(
+        np.array([16.0, 16.0, 16.0, 16.0, 34.0, 34.0, 34.0, 34.0]),
+        np.array([1, 2, 3, 4, 1, 2, 3, 4]),
+        np.array([5e-2, 3e-2, 2e-2, 1.5e-2, 8e-4, 2e-4, 1e-4, 8e-5]),
+        np.array([100_000] * 8),
+        {"mod": "qam16", "nt": 8, "nr": 8, "core": "mmse"},
+    )
 
 
 class TestGoldenCounts:
@@ -190,15 +215,7 @@ class TestGoldenCounts:
 
     def test_compare_policies_cell(self):
         # three depths (4, 1, 7) on the shared draws of one cell
-        from osicsim.policy import CalibrationTable
-
-        table = CalibrationTable(
-            np.array([16.0, 16.0, 16.0, 16.0, 34.0, 34.0, 34.0, 34.0]),
-            np.array([1, 2, 3, 4, 1, 2, 3, 4]),
-            np.array([5e-2, 3e-2, 2e-2, 1.5e-2, 8e-4, 2e-4, 1e-4, 8e-5]),
-            np.array([100_000] * 8),
-            {"mod": "qam16", "nt": 8, "nr": 8, "core": "mmse"},
-        )
+        table = golden_table()
         cfg = SweepConfig(
             snr_db_list=(20.0,), iters_list=None, min_symbols=MIN_SYMBOLS_FLOOR, seed=7, target_ber=3e-2
         )
@@ -206,6 +223,37 @@ class TestGoldenCounts:
             ("formula", 4, 1403, 65536),
             ("feedback", 1, 2785, 65536),
             ("ordinary", 7, 1181, 65536),
+        ]
+
+    def test_formula_sweep_pilot_estimate(self):
+        # the pilot estimate at 22.75 dB lands above the formula's 2/3 boundary
+        cfg = SweepConfig(
+            snr_db_list=(16.0, 22.75), policy="formula", snr_est="pilot", min_symbols=MIN_SYMBOLS_FLOOR, seed=7
+        )
+        assert [(p.policy, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg)] == [
+            ("formula", 4, 5284, 65536),
+            ("formula", 2, 874, 65536),
+        ]
+
+    def test_feedback_sweep(self):
+        cfg = SweepConfig(snr_db_list=(16.0, 20.0, 30.0), policy="feedback", min_symbols=MIN_SYMBOLS_FLOOR, seed=7)
+        assert [(p.policy, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg, golden_table())] == [
+            ("feedback", 4, 5284, 65536),
+            ("feedback", 2, 1994, 65536),
+            ("feedback", 1, 166, 65536),
+        ]
+
+    def test_bench_counts(self):
+        cfg = SweepConfig(snr_db_list=(16.0, 30.0), bench_detections=100, seed=6, target_ber=3e-2)
+        assert [(r.variant, r.n_i, r.bit_errors) for r in bench_complexity(cfg, golden_table()).rows] == [
+            ("ordinary", 7, 271),
+            ("ordinary", 7, 0),
+            ("fixed_nimax", 4, 265),
+            ("fixed_nimax", 4, 0),
+            ("formula", 4, 220),
+            ("formula", 1, 6),
+            ("feedback", 2, 329),
+            ("feedback", 1, 2),
         ]
 
     def test_linear_sweep_4x4_qpsk_zf(self):

@@ -1,5 +1,8 @@
 """Tests for iteration policies, calibration tables and SNR estimation."""
 
+import importlib
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +12,13 @@ from hypothesis import strategies as st
 
 from osicsim.channel import SnrSpec, complex_normal, gen_channel_batch, make_stream
 from osicsim.detectors import DetectorSpec, vblast_detect
+from osicsim.harness import ConfigError, SweepConfig, _iterations, run_ber_sweep
 from osicsim.modem import QAM16
 from osicsim.policy import (
     SNR_ESTIMATE_CAP_DB,
     CalibrationError,
     CalibrationTable,
     IterationPolicy,
-    SnrEstimate,
     decide_iterations,
     estimate_snr,
     feedback_detect,
@@ -147,6 +150,20 @@ class TestCalibrationTable:
         with pytest.raises(CalibrationError, match=match):
             CalibrationTable.load_csv(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        ["22,1,1e-3", "abc,1,1e-3,1000", "22,1.5,1e-3,1000"],
+        ids=["three-columns", "non-numeric-snr", "fractional-n_i"],
+    )
+    def test_malformed_csv_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "calib.csv"
+        path.write_text(f"# mod=qam16 nt=8 nr=8 core=mmse\nsnr_db,n_i,ber,symbols\n20,1,1e-2,1000\n{row}\n")
+        with pytest.raises(CalibrationError) as info:
+            CalibrationTable.load_csv(path)
+        assert str(info.value) == (
+            f"{path}:4: expected snr_db,n_i,ber,symbols (numbers; n_i and symbols integers), got {row!r}"
+        )
+
     def test_committed_bench_table_loads(self):
         path = Path(__file__).resolve().parent.parent / "bench" / "calib_8x8_qam16.csv"
         t = CalibrationTable.load_csv(path)
@@ -197,29 +214,29 @@ class TestFeedbackIters:
             np.array([100_000] * 8),
             {"mod": "qam16", "nt": 8, "nr": 8, "core": "mmse"},
         )
-        assert feedback_iters(SnrEstimate(25.0), t, 1e-2, 8) == 1
+        assert feedback_iters(25.0, t, 1e-2, 8) == 1
 
     def test_below_range_clamps_to_nimax(self):
         t = synthetic_table()
-        assert feedback_iters(SnrEstimate(0.0), t, 1e-2, 8) == 4
+        assert feedback_iters(0.0, t, 1e-2, 8) == 4
 
     def test_above_range_returns_one(self):
         t = synthetic_table()
-        assert feedback_iters(SnrEstimate(50.0), t, 1e-2, 8) == 1
+        assert feedback_iters(50.0, t, 1e-2, 8) == 1
 
     def test_none_qualifies_returns_nimax(self):
         t = synthetic_table()
         # impossible target within range
-        assert feedback_iters(SnrEstimate(20.0), t, 1e-9, 8) == 4
+        assert feedback_iters(20.0, t, 1e-9, 8) == 4
 
     def test_non_increasing_in_snr(self):
         t = synthetic_table(snrs=tuple(np.arange(14.0, 36.1, 2.0)))
-        values = [feedback_iters(SnrEstimate(s), t, 1e-2, 8) for s in np.arange(14.0, 36.01, 0.25)]
+        values = [feedback_iters(s, t, 1e-2, 8) for s in np.arange(14.0, 36.01, 0.25)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_non_finite_estimate_rejected(self):
         with pytest.raises(ValueError):
-            feedback_iters(SnrEstimate(float("nan")), synthetic_table(), 1e-2, 8)
+            feedback_iters(float("nan"), synthetic_table(), 1e-2, 8)
 
 
 class TestEstimateSnr:
@@ -228,8 +245,7 @@ class TestEstimateSnr:
         x = np.ones((10, 4), dtype=complex)
         y = x.copy()  # y = h x exactly
         est = estimate_snr(y, h, x)
-        assert est.snr_db == SNR_ESTIMATE_CAP_DB
-        assert est.source == "pilot"
+        assert est == SNR_ESTIMATE_CAP_DB
 
     def test_synthetic_noise_concentration(self):
         # noise_var = 0.01 over 1000 pilot uses: estimate within +-0.5 dB of 20
@@ -240,7 +256,7 @@ class TestEstimateSnr:
         noise = complex_normal(rng, (n_uses, n_r), 0.01)
         y = np.einsum("pij,pj->pi", h, x) + noise
         est = estimate_snr(y, h, x)
-        assert est.snr_db == pytest.approx(20.0, abs=0.5)
+        assert est == pytest.approx(20.0, abs=0.5)
 
     def test_shared_channel_across_uses(self):
         rng = make_stream(78, 0)
@@ -249,7 +265,7 @@ class TestEstimateSnr:
         noise = complex_normal(rng, (200, 3), 0.1)
         y = x @ h.T + noise
         est = estimate_snr(y, h, x)
-        assert est.snr_db == pytest.approx(10.0, abs=1.0)
+        assert est == pytest.approx(10.0, abs=1.0)
 
     def test_empty_pilots_rejected(self):
         with pytest.raises(ValueError, match="degenerate pilot"):
@@ -262,7 +278,7 @@ class TestFeedbackDetect:
         rng = make_stream(79, 0)
         snr = SnrSpec(15.0)
         for est_db in (14.0, 18.0, 24.0, 30.0, 35.9):
-            planned = feedback_iters(SnrEstimate(est_db), t, 1e-2, 8)
+            planned = feedback_iters(est_db, t, 1e-2, 8)
             h = gen_channel_batch(1, 8, 8, rng)[0]
             x = QAM16.points[np.random.default_rng(3).integers(0, 16, 8)]
             y = h @ x + complex_normal(rng, (8,), snr.noise_var)
@@ -274,29 +290,49 @@ class TestFeedbackDetect:
 
 
 class TestIterationPolicy:
+    """``harness._iterations`` resolves every detection depth; the legacy
+    ``IterationPolicy``/``decide_iterations`` pair remains for
+    ``bench/make_reference.py``."""
+
     def test_decide_fixed(self):
-        p = IterationPolicy("fixed", fixed_n=3)
-        assert decide_iterations(p, 20.0, 8) == 3
-        with pytest.raises(ValueError):
-            decide_iterations(IterationPolicy("fixed", fixed_n=9), 20.0, 8)
+        # fixed depths: the full loop, n_imax, and iters_list entries
+        cfg = SweepConfig()
+        assert _iterations("ordinary", cfg, 20.0, None) == 7
+        assert _iterations("fixed_nimax", cfg, 20.0, None) == 4
+        with pytest.raises(ConfigError, match="outside"):
+            SweepConfig(iters_list=(9,)).validate()
 
     def test_decide_formula(self):
-        p = IterationPolicy("formula")
-        assert decide_iterations(p, 25.0, 8) == 1
+        assert _iterations("formula", SweepConfig(), 25.0, None) == 1
+        assert decide_iterations(IterationPolicy("formula", 1e-2), 25.0, 8) == 1
 
     def test_decide_feedback_needs_table(self):
-        p = IterationPolicy("feedback")
-        with pytest.raises(CalibrationError):
-            decide_iterations(p, 25.0, 8, table=None)
-        assert decide_iterations(p, 0.0, 8, table=synthetic_table()) == 4
+        with pytest.raises(ConfigError, match="requires a calibration table"):
+            run_ber_sweep(SweepConfig(snr_db_list=(25.0,), policy="feedback"))
+        assert _iterations("feedback", SweepConfig(), 0.0, synthetic_table()) == 4
+        assert decide_iterations(IterationPolicy("feedback", 1e-2), 0.0, 8, synthetic_table()) == 4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            IterationPolicy("magic")
-        with pytest.raises(ValueError):
-            IterationPolicy("fixed")
-        with pytest.raises(ValueError):
-            IterationPolicy("formula", target_ber=0.7)
+        # a fixed count is not a policy, and the one target lives in SweepConfig
+        with pytest.raises(ConfigError, match="unknown policy"):
+            SweepConfig(policy="fixed").validate()
+        with pytest.raises(ConfigError, match="target_ber"):
+            SweepConfig(policy="formula", target_ber=0.7).validate()
+
+    def test_bench_reference_keeps_its_depths(self):
+        # bench/make_reference.py resolves the depths of reference.json
+        # through the legacy pair; they must still agree with the file
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        sys.path.insert(0, str(bench))
+        try:
+            make_reference = importlib.import_module("make_reference")
+            workloads = importlib.import_module("workloads")
+        finally:
+            sys.path.remove(str(bench))
+        reference = json.loads((bench / "reference.json").read_text())["workloads"]
+        for name in workloads.WORKLOADS:
+            depths = [(c["variant"], c["snr_db"], c["n_i"]) for c in make_reference.cells_for(workloads, name)]
+            assert depths == [(c["variant"], c["snr_db"], c["n_i"]) for c in reference[name]["cells"]], name
 
     def test_policy_agreement_band_with_synthetic_table(self):
         # with a table calibrated at the same target condition the two
@@ -304,5 +340,5 @@ class TestIterationPolicy:
         t = synthetic_table(snrs=tuple(np.arange(16.0, 34.1, 1.0)))
         for s in np.arange(16.0, 34.01, 0.5):
             nf = formula_iters(float(s), 8)
-            nb = feedback_iters(SnrEstimate(float(s)), t, 1e-2, 8)
+            nb = feedback_iters(float(s), t, 1e-2, 8)
             assert abs(nf - nb) <= 2  # synthetic decay, loose coupling check

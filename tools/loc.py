@@ -1,0 +1,53 @@
+"""Count the code lines of each module of the ``osicsim`` package.
+
+A code line is a source line that holds a token of code: blank lines,
+comment-only lines and the lines of module, class and function docstrings
+do not count. Every change reports its code size by this rule.
+
+Usage, from the repository root:
+
+    python3 tools/loc.py [DIR]
+
+``DIR`` defaults to ``src/osicsim``. Prints one ``module lines`` row per
+``*.py`` file and the total.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(source: str) -> int:
+    """Number of lines of ``source`` that hold code other than a docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0]) if argv else Path("src/osicsim")
+    total = 0
+    for path in sorted(root.glob("*.py")):
+        n = code_lines(path.read_text())
+        total += n
+        print(f"{path.stem:12s} {n:5d}")
+    print(f"{'total':12s} {total:5d}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
