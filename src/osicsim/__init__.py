@@ -10,7 +10,7 @@ complexity benchmarks.
 __version__ = "0.1.0"
 
 from .channel import SnrSpec, link_snr, make_stream
-from .detectors import DetectionTrace, DetectorSpec, ml_detect, nulling_matrix, vblast_detect
+from .detectors import DetectionTrace, DetectorSpec, nulling_matrix, vblast_detect
 from .harness import BenchReport, BerPoint, SweepConfig, bench_complexity, calibrate, compare_policies, run_ber_sweep
 from .modem import QAM16, QPSK, Constellation, get_constellation
 from .policy import (
@@ -24,7 +24,7 @@ from .policy import (
 __all__ = [
     "__version__",
     "SnrSpec", "link_snr", "make_stream",
-    "DetectionTrace", "DetectorSpec", "ml_detect", "nulling_matrix", "vblast_detect",
+    "DetectionTrace", "DetectorSpec", "nulling_matrix", "vblast_detect",
     "BenchReport", "BerPoint", "SweepConfig", "bench_complexity", "calibrate", "compare_policies", "run_ber_sweep",
     "QAM16", "QPSK", "Constellation", "get_constellation",
     "CalibrationTable", "estimate_snr", "feedback_iters", "formula_iters", "n_imax",

@@ -10,12 +10,15 @@ Subcommands wrap the Monte Carlo harness:
 * ``formula-eval`` print the formula policy's count for one SNR
 * ``rerun``       re-execute a previous run from its manifest
 
-Every config key is one row of ``OPTIONS`` (default, type, help), and the
-five Monte Carlo commands are the rows of ``COMMANDS``. The flags are
-generated from ``OPTIONS``; config-file values and a manifest's config are
-checked against the same types and choices by ``_coerce``, so an unknown
-key, a value of the wrong type or one outside its choices is refused
-wherever it comes from. A config file may set only the keys its command
+Every config key is one row of ``OPTIONS`` (the ``SweepConfig`` field it
+sets, type, help), and the five Monte Carlo commands are the rows of
+``COMMANDS``. A key's default is its field's ``SweepConfig`` default;
+only the keys without a field (``snr``, given as text, and the
+``ber-sweep`` keys ``detector``, ``policy``, ``iters`` and ``calib``)
+declare their own. The flags are generated from ``OPTIONS``;
+config-file values and a manifest's config are checked against the same
+types and choices by ``_coerce``, so an unknown key, a value of the wrong
+type or one outside its choices is refused wherever it comes from. A config file may set only the keys its command
 reads: the common keys plus the command's ``COMMANDS[...].extra``.
 Configuration precedence is CLI flag > config-file key > built-in
 default. Config files are flat ``key = value`` text.
@@ -42,7 +45,10 @@ import click
 import numpy as np
 
 from . import __version__
+from .detectors import NULLING_CORES
 from .harness import (
+    POLICIES,
+    SNR_ESTIMATORS,
     SweepConfig,
     _machine_note,
     bench_complexity,
@@ -54,38 +60,42 @@ from .harness import (
     run_ber_sweep,
     run_linear_sweep,
 )
+from .modem import CONSTELLATIONS
 from .policy import CalibrationTable, formula_iters
 
 
 class Option(NamedTuple):
-    """One config key: its default, its type (a cast, or a tuple of the allowed strings) and its help."""
+    """One config key: the ``SweepConfig`` field it sets (``None`` if it sets
+    none), its type (a cast, or a tuple of the allowed strings), its help,
+    and for a key without a field its default."""
 
-    default: object
+    field: str | None
     type: type | tuple[str, ...]
     help: str
+    default: object = None
 
 
 OPTIONS = {
-    "seed": Option(1, int, "RNG seed."),
-    "nt": Option(8, int, "Transmit antennas."),
-    "nr": Option(8, int, "Receive antennas."),
-    "subcarriers": Option(64, int, "Independent subcarriers K."),
-    "mod": Option("qam16", ("qpsk", "qam16"), "Modulation."),
-    "core": Option("mmse", ("zf", "mmse"), "Nulling core."),
-    "snr": Option("16:34:2", str, "SNR list: '16,20,24' or start:stop:step."),
-    "min_symbols": Option(10_000, int, "Minimum symbols per point."),
-    "min_errors": Option(100, int, "Minimum bit errors per point."),
-    "workers": Option(1, int, "Monte Carlo worker processes."),
-    "snr_est": Option("genie", ("genie", "pilot"), "SNR knowledge at the receiver."),
-    "pilot_uses": Option(128, int, "Pilot channel uses per estimate."),
-    "target_ber": Option(1e-2, float, "Target BER for policies/calibration."),
-    "detector": Option("vblast", ("zf", "mmse", "vblast"), "Detector family."),
-    "policy": Option("fixed", ("fixed", "formula", "feedback"), "Iteration policy for vblast."),
+    "seed": Option("seed", int, "RNG seed."),
+    "nt": Option("n_t", int, "Transmit antennas."),
+    "nr": Option("n_r", int, "Receive antennas."),
+    "subcarriers": Option("subcarriers", int, "Independent subcarriers K."),
+    "mod": Option("modulation", tuple(CONSTELLATIONS), "Modulation."),
+    "core": Option("core", NULLING_CORES, "Nulling core."),
+    "snr": Option(None, str, "SNR list: '16,20,24' or start:stop:step.", "16:34:2"),
+    "min_symbols": Option("min_symbols", int, "Minimum symbols per point."),
+    "min_errors": Option("min_errors", int, "Minimum bit errors per point."),
+    "workers": Option("workers", int, "Monte Carlo worker processes."),
+    "snr_est": Option("snr_est", SNR_ESTIMATORS, "SNR knowledge at the receiver."),
+    "pilot_uses": Option("pilot_uses", int, "Pilot channel uses per estimate."),
+    "target_ber": Option("target_ber", float, "Target BER for policies/calibration."),
+    "detector": Option(None, (*NULLING_CORES, "vblast"), "Detector family.", "vblast"),
+    "policy": Option(None, ("fixed", *POLICIES), "Iteration policy for vblast.", "fixed"),
     "iters": Option(None, int, "Iteration count for the fixed policy [default: nt-1]."),
     "calib": Option(None, str, "Calibration table CSV written by 'calibrate' (compare, bench, feedback policy)."),
-    "bench_detections": Option(10_000, int, "Timed detections per variant per SNR."),
+    "bench_detections": Option("bench_detections", int, "Timed detections per variant per SNR."),
 }
-DEFAULTS = {key: option.default for key, option in OPTIONS.items()}
+DEFAULTS = {key: getattr(SweepConfig, o.field) if o.field else o.default for key, o in OPTIONS.items()}
 
 _PLOT_PRESETS = {"iter-sweep": {4: "fig2", 8: "fig3", 16: "fig4"}, "calibrate": {8: "fig6a"}, "compare": {8: "fig7"}}
 
@@ -124,7 +134,7 @@ def _coerce(key: str, value, where: str):
     if key not in OPTIONS:
         raise click.UsageError(f"{where}: unknown config key {key!r}")
     option = OPTIONS[key]
-    if value is None and option.default is None:
+    if value is None and DEFAULTS[key] is None:
         return None
     if isinstance(option.type, tuple):
         if isinstance(value, str) and value in option.type:
@@ -206,25 +216,9 @@ def _resolve(params: dict, file_cfg: dict) -> dict:
     return resolved
 
 
-def _sweep_config(resolved: dict, iters_list=None, policy=None) -> SweepConfig:
-    return SweepConfig(
-        n_t=resolved["nt"],
-        n_r=resolved["nr"],
-        subcarriers=resolved["subcarriers"],
-        modulation=resolved["mod"],
-        core=resolved["core"],
-        snr_db_list=tuple(_parse_snr_list(resolved["snr"])),
-        iters_list=iters_list,
-        policy=policy,
-        min_symbols=resolved["min_symbols"],
-        min_errors=resolved["min_errors"],
-        seed=resolved["seed"],
-        workers=resolved["workers"],
-        snr_est=resolved["snr_est"],
-        pilot_uses=resolved["pilot_uses"],
-        target_ber=resolved["target_ber"],
-        bench_detections=resolved["bench_detections"],
-    ).validate()
+def _sweep_config(resolved: dict) -> SweepConfig:
+    fields = {o.field: resolved[key] for key, o in OPTIONS.items() if o.field}
+    return SweepConfig(snr_db_list=tuple(_parse_snr_list(resolved["snr"])), **fields).validate()
 
 
 def _sha256(path: Path) -> str:
@@ -279,7 +273,8 @@ def _write_plot_file(out_dir: Path, command: str, resolved: dict, rows) -> str:
 Result = tuple[dict[str, str], list | None, dict | None]
 
 
-def _ber_result(command: str, cfg: SweepConfig, points, calib: dict | None = None) -> Result:
+def _warn_capped(cfg: SweepConfig, points) -> None:
+    """One stderr line per point that stopped at the symbol budget short of ``min_errors``."""
     for p in points:
         if p.capped:
             click.echo(
@@ -287,6 +282,10 @@ def _ber_result(command: str, cfg: SweepConfig, points, calib: dict | None = Non
                 f"with {p.bit_errors} bit errors, short of min_errors={cfg.min_errors}",
                 err=True,
             )
+
+
+def _ber_result(command: str, cfg: SweepConfig, points, calib: dict | None = None) -> Result:
+    _warn_capped(cfg, points)
     files = {f"{command.replace('-', '_')}.csv": format_ber_csv(points, cfg, command)}
     plot_rows = [(p.policy if p.policy != "fixed" else f"n_i={p.n_i}", p.snr_db, p.ber) for p in points]
     return files, plot_rows, calib
@@ -298,22 +297,26 @@ def _ber_sweep(resolved: dict) -> Result:
         # a linear run nulls with the detector itself, so its CSV header names that core
         cfg = _sweep_config({**resolved, "core": detector})
         return _ber_result("ber-sweep", cfg, run_linear_sweep(cfg, detector))
-    # a fixed count is an iters_list entry, not a policy; None runs nt - 1
-    policy = None if resolved["policy"] == "fixed" else resolved["policy"]
-    iters_list = None if resolved["iters"] is None else (resolved["iters"],)
+    policy, iters = resolved["policy"], resolved["iters"]
+    if policy != "fixed" and iters is not None:
+        raise click.UsageError(f"--iters sets the count of --policy fixed; it cannot go with --policy {policy}")
+    # the fixed policy runs --iters, or nt - 1 by default; another policy is a depth name
+    depth = iters if policy == "fixed" else policy
     table, calib = _load_table(resolved) if policy == "feedback" else (None, None)
-    cfg = _sweep_config(resolved, iters_list=iters_list, policy=policy)
-    return _ber_result("ber-sweep", cfg, run_ber_sweep(cfg, table), calib)
+    cfg = _sweep_config(resolved)
+    points = run_ber_sweep(cfg, None if depth is None else (depth,), table=table)
+    return _ber_result("ber-sweep", cfg, points, calib)
 
 
 def _iter_sweep(resolved: dict) -> Result:
-    cfg = _sweep_config(resolved, iters_list=tuple(range(0, resolved["nt"])))
-    return _ber_result("iter-sweep", cfg, run_ber_sweep(cfg))
+    cfg = _sweep_config(resolved)
+    return _ber_result("iter-sweep", cfg, run_ber_sweep(cfg, range(cfg.n_t)))
 
 
 def _calibrate(resolved: dict) -> Result:
     cfg = _sweep_config(resolved)
-    table, derived = calibrate(cfg)
+    table, derived, points = calibrate(cfg)
+    _warn_capped(cfg, points)
     lines = [f"# target_ber={resolved['target_ber']:g}", "snr_db,required_n_i"]
     lines += [f"{snr:g},{n}" for snr, n in derived]
     files = {"calibrate.csv": table.to_csv(), "calibrate_derived.csv": "\n".join(lines) + "\n"}
@@ -386,9 +389,9 @@ def main():
 
 
 def _flag(key: str):
-    option = OPTIONS[key]
+    option, default = OPTIONS[key], DEFAULTS[key]
     kind = click.Choice(option.type) if isinstance(option.type, tuple) else option.type
-    shown = "" if option.default is None else f" [default: {option.default}]"
+    shown = "" if default is None else f" [default: {default}]"
     return click.option(f"--{key.replace('_', '-')}", key, type=kind, default=None, help=option.help + shown)
 
 

@@ -1,5 +1,5 @@
 """MIMO detectors: the OSIC V-BLAST loop (linear detection at zero
-iterations) and an ML oracle.
+iterations) and the candidate list of the exhaustive ML oracle.
 
 The V-BLAST detector runs a configurable number of
 ordering/nulling/slicing/cancellation iterations and then detects the
@@ -46,7 +46,7 @@ from .modem import Constellation, slice_indices
 
 NULLING_CORES = ("zf", "mmse")
 
-# exhaustive-search guard for ml_detect: at most 2**16 candidate vectors
+# exhaustive-search guard for ml_candidates: at most 2**16 candidate vectors
 ML_MAX_SEARCH_BITS = 16
 
 
@@ -139,7 +139,11 @@ def vblast_detect(h, y, spec: DetectorSpec, snr: SnrSpec, c: Constellation) -> D
 
 
 def ml_candidates(n_t: int, c: Constellation) -> np.ndarray:
-    """All ``|C|**n_t`` candidate point-index vectors in lexicographic order."""
+    """All ``|C|**n_t`` candidate point-index vectors in lexicographic order.
+
+    ``batched.ml_indices_batch`` searches them exhaustively; on a tie the
+    lowest candidate wins.
+    """
     m = len(c.points)
     if n_t * c.bits_per_symbol > ML_MAX_SEARCH_BITS:
         raise SearchSpaceError(
@@ -147,19 +151,3 @@ def ml_candidates(n_t: int, c: Constellation) -> np.ndarray:
         )
     return np.array(list(product(range(m), repeat=n_t)), dtype=np.int64)
 
-
-def ml_detect(h, y, c: Constellation) -> np.ndarray:
-    """Exhaustive maximum-likelihood detection (oracle for small systems).
-
-    Minimises ``||y - h x||^2`` over every candidate symbol vector and
-    returns its point indices; ties go to the lowest candidate index in
-    lexicographic stream order.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    n_t = h.shape[1]
-    cand_idx = ml_candidates(n_t, c)
-    cand_sym = c.points[cand_idx]  # (P, n_t)
-    residual = y[None, :] - cand_sym @ h.T  # (P, n_r)
-    metric = np.sum(np.abs(residual) ** 2, axis=1)
-    return cand_idx[int(np.argmin(metric))].copy()

@@ -13,13 +13,14 @@ differ run to run and are excluded from all determinism contracts.
 
 Detection depths
 ----------------
-A run names each detection depth one way, and ``_iterations`` resolves
-every name to an iteration count at one SNR point: ``ordinary``
-(``n_t - 1``), ``fixed_nimax`` (``n_imax``), and the two policies
-``formula`` and ``feedback`` of :mod:`osicsim.policy`, which read the
-point's SNR estimate and, for feedback, the calibration table against
-``SweepConfig.target_ber``. A fixed count is not a policy: it is an entry
-of ``SweepConfig.iters_list``.
+The depths a run detects at are an argument of the operation, not part of
+``SweepConfig``. Each depth is an integer iteration count (tagged
+``fixed``) or a name, and ``_iterations`` resolves every depth to a count
+at one SNR point: a count stays as it is, ``ordinary`` is ``n_t - 1``,
+``fixed_nimax`` is ``n_imax``, and the two policies ``formula`` and
+``feedback`` of :mod:`osicsim.policy` read the point's SNR estimate and,
+for feedback, the calibration table against ``SweepConfig.target_ber``.
+``_resolve_depths`` checks the depths of every operation by one rule.
 
 Stopping rule
 -------------
@@ -49,6 +50,7 @@ import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -90,9 +92,11 @@ SYMBOL_BUDGET_FACTOR = 100
 
 BENCH_WARMUP_CALLS = 100
 
+SNR_ESTIMATORS = ("genie", "pilot")
 POLICIES = ("formula", "feedback")
 COMPARE_VARIANTS = ("formula", "feedback", "ordinary")
-BENCH_VARIANTS = ("ordinary", "fixed_nimax", "formula", "feedback")
+# the bench times every depth name that _iterations resolves
+BENCH_VARIANTS = ("ordinary", "fixed_nimax", *POLICIES)
 
 
 class ConfigError(ValueError):
@@ -113,8 +117,6 @@ class SweepConfig:
     modulation: str = "qam16"
     core: str = "mmse"
     snr_db_list: tuple = (16.0, 18.0, 20.0, 22.0, 24.0, 26.0, 28.0, 30.0, 32.0, 34.0)
-    iters_list: tuple | None = None
-    policy: str | None = None  # formula | feedback; None runs iters_list
     min_symbols: int = 10_000
     min_errors: int = 100
     seed: int = 1
@@ -147,21 +149,10 @@ class SweepConfig:
             raise ConfigError(f"min_errors must be >= {MIN_ERRORS_FLOOR}, got {self.min_errors}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.snr_est not in ("genie", "pilot"):
-            raise ConfigError(f"snr_est must be genie or pilot, got {self.snr_est!r}")
+        if self.snr_est not in SNR_ESTIMATORS:
+            raise ConfigError(f"snr_est must be one of {SNR_ESTIMATORS}, got {self.snr_est!r}")
         if self.pilot_uses < 1:
             raise ConfigError(f"pilot_uses must be >= 1, got {self.pilot_uses}")
-        if self.policy is not None and self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
-        if self.policy is not None and self.iters_list is not None:
-            raise ConfigError(
-                f"set policy or iters_list, not both: policy={self.policy!r} picks the count, "
-                f"iters_list={self.iters_list!r} would be ignored"
-            )
-        if self.iters_list is not None:
-            for n in self.iters_list:
-                if not (0 <= n <= self.n_t - 1):
-                    raise ConfigError(f"iterations {n} outside [0, {self.n_t - 1}] (n_t = {self.n_t})")
         if self.bench_detections < 100:
             raise ConfigError(f"bench_detections must be >= 100, got {self.bench_detections}")
         if not (0.0 < self.target_ber < 0.5):  # 0.5 is the BER of a coin toss
@@ -331,50 +322,72 @@ def _point_estimate(cfg: SweepConfig, snr_db: float, point_index: int) -> float:
     return estimate_snr(y, h, c.points[pilot_idx]) + 10.0 * math.log10(cfg.n_t)
 
 
-def _iterations(name: str, cfg: SweepConfig, est_db: float, table: CalibrationTable | None) -> int:
-    """Iteration count of detection depth ``name`` at the SNR estimate ``est_db``.
+def _iterations(depth, cfg: SweepConfig, est_db: float, table: CalibrationTable | None) -> int:
+    """Iteration count of detection depth ``depth`` at the SNR estimate ``est_db``.
 
-    ``ordinary`` and ``fixed_nimax`` do not read the estimate; ``feedback``
-    looks ``est_db`` up in ``table`` against ``cfg.target_ber``.
+    A count is returned as it is; ``ordinary`` and ``fixed_nimax`` do not
+    read the estimate; ``feedback`` looks ``est_db`` up in ``table``
+    against ``cfg.target_ber``.
     """
-    if name == "ordinary":
+    if not isinstance(depth, str):
+        return depth
+    if depth == "ordinary":
         return cfg.n_t - 1
-    if name == "fixed_nimax":
+    if depth == "fixed_nimax":
         return n_imax(cfg.n_t)
-    if name == "formula":
+    if depth == "formula":
         return formula_iters(est_db, cfg.n_t)
     return feedback_iters(est_db, table, cfg.target_ber, cfg.n_t)
+
+
+def _resolve_depths(cfg: SweepConfig, depths: tuple, table: CalibrationTable | None) -> list[tuple]:
+    """``(snr_db, est_db, variants)`` per SNR point, one ``_Variant`` per entry of ``depths``.
+
+    Checks ``cfg`` and ``depths`` first: a count must lie in
+    ``[0, n_t - 1]``, a name must be one ``_iterations`` resolves, and
+    ``feedback`` needs a ``table`` made for this system. A count is tagged
+    ``fixed``, a name with itself.
+    """
+    cfg.validate()
+    for d in depths:
+        if isinstance(d, str):
+            if d not in BENCH_VARIANTS:
+                raise ConfigError(f"unknown depth {d!r}, expected an iteration count or one of {BENCH_VARIANTS}")
+        elif not (isinstance(d, Integral) and 0 <= d <= cfg.n_t - 1):
+            raise ConfigError(f"iterations {d} outside [0, {cfg.n_t - 1}] (n_t = {cfg.n_t})")
+    if "feedback" in depths:
+        if table is None:
+            raise ConfigError("feedback policy requires a calibration table")
+        table.validate_for(cfg.modulation, cfg.n_t, cfg.core)
+    points = []
+    for pi, snr_db in enumerate(cfg.snr_db_list):
+        est_db = _point_estimate(cfg, snr_db, pi)
+        variants = tuple(
+            _Variant(d if isinstance(d, str) else "fixed", _iterations(d, cfg, est_db, table)) for d in depths
+        )
+        points.append((snr_db, est_db, variants))
+    return points
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def run_ber_sweep(cfg: SweepConfig, table: CalibrationTable | None = None) -> list[BerPoint]:
-    """Measure BER for every (SNR, variant) cell of the configuration.
+def run_ber_sweep(cfg: SweepConfig, depths=None, *, table: CalibrationTable | None = None) -> list[BerPoint]:
+    """Measure BER for every (SNR, depth) cell of the configuration.
 
-    Variants come from ``cfg.iters_list`` (tag ``fixed``, ``[0]`` included;
-    ``None`` runs ``n_t - 1``) or from ``cfg.policy`` (tagged with its
-    name), resolved by ``_iterations`` per SNR point before any cell is
-    dispatched; a pure linear run tagged ``zf``/``mmse`` is
-    ``run_linear_sweep``.
-    Deterministic given (seed, config); the worker count never changes
-    counts, only wall-clock.
+    Each entry of ``depths`` is an iteration count (tag ``fixed``, ``0``
+    included) or a depth name that ``_iterations`` resolves per SNR point
+    before any cell is dispatched (``ordinary``, ``fixed_nimax``,
+    ``formula``, or ``feedback``, which needs ``table``), tagged with that
+    name; ``None`` runs ``n_t - 1``. A pure linear run tagged
+    ``zf``/``mmse`` is ``run_linear_sweep``.
+    Deterministic given (seed, config, depths); the worker count never
+    changes counts, only wall-clock.
     """
-    cfg.validate()
-    if cfg.policy == "feedback":
-        if table is None:
-            raise ConfigError("feedback policy requires a calibration table")
-        table.validate_for(cfg.modulation, cfg.n_t, cfg.core)
-
+    depths = (cfg.n_t - 1,) if depths is None else tuple(depths)
     cells = []
-    for pi, snr_db in enumerate(cfg.snr_db_list):
-        if cfg.policy is not None:
-            n = _iterations(cfg.policy, cfg, _point_estimate(cfg, snr_db, pi), table)
-            variants = (_Variant(cfg.policy, n),)
-        else:
-            iters = cfg.iters_list if cfg.iters_list is not None else (cfg.n_t - 1,)
-            variants = tuple(_Variant("fixed", n) for n in iters)
+    for snr_db, _, variants in _resolve_depths(cfg, depths, table):
         for v in variants:
             cells.append(_Cell(snr_db, len(cells) + 1, (v,)))
     return _run_cells(cfg, cells)
@@ -395,16 +408,16 @@ def run_linear_sweep(cfg: SweepConfig, detector: str) -> list[BerPoint]:
 def calibrate(cfg: SweepConfig):
     """Measure the full (SNR, n_i) BER grid and derive required counts.
 
-    Returns ``(table, derived)`` where ``derived`` lists, per SNR, the
+    Returns ``(table, derived, points)`` where ``derived`` lists, per SNR, the
     smallest ``n_i`` in ``[1, n_imax]`` whose measured BER meets
-    ``cfg.target_ber`` (``n_imax`` when none does). The grid itself spans
-    ``n_i = 0 .. n_imax``.
+    ``cfg.target_ber`` (``n_imax`` when none does), and ``points`` is the
+    measured grid itself, ``n_i = 0 .. n_imax`` per SNR, whose ``capped``
+    flags the table does not carry.
     """
     cfg.validate()
     target = cfg.target_ber
     nmax = n_imax(cfg.n_t)
-    grid_cfg = replace(cfg, iters_list=tuple(range(0, nmax + 1)), policy=None)
-    points = run_ber_sweep(grid_cfg)
+    points = run_ber_sweep(cfg, tuple(range(nmax + 1)))
 
     table = CalibrationTable(
         np.array([p.snr_db for p in points]),
@@ -430,7 +443,7 @@ def calibrate(cfg: SweepConfig):
                 chosen = n
                 break
         derived.append((snr_db, chosen))
-    return table, derived
+    return table, derived, points
 
 
 def compare_policies(cfg: SweepConfig, table: CalibrationTable) -> list[BerPoint]:
@@ -439,13 +452,8 @@ def compare_policies(cfg: SweepConfig, table: CalibrationTable) -> list[BerPoint
     All three variants of one SNR point share a cell (and therefore the
     same channel, bits and noise), so the emitted curves are paired.
     """
-    cfg.validate()
-    table.validate_for(cfg.modulation, cfg.n_t, cfg.core)
-    cells = []
-    for pi, snr_db in enumerate(cfg.snr_db_list):
-        est_db = _point_estimate(cfg, snr_db, pi)
-        variants = tuple(_Variant(name, _iterations(name, cfg, est_db, table)) for name in COMPARE_VARIANTS)
-        cells.append(_Cell(snr_db, pi + 1, variants))
+    points = _resolve_depths(cfg, COMPARE_VARIANTS, table)
+    cells = [_Cell(snr_db, pi + 1, variants) for pi, (snr_db, _, variants) in enumerate(points)]
     return _run_cells(cfg, cells)
 
 
@@ -487,21 +495,19 @@ def bench_complexity(cfg: SweepConfig, table: CalibrationTable) -> BenchReport:
     per-detection time uniformly over the SNR list and normalises by the
     ordinary variant (ordinary = 100% by construction).
     """
-    cfg.validate()
-    table.validate_for(cfg.modulation, cfg.n_t, cfg.core)
+    points = _resolve_depths(cfg, BENCH_VARIANTS, table)
     c = get_constellation(cfg.modulation)
-    estimates = [_point_estimate(cfg, snr_db, pi) for pi, snr_db in enumerate(cfg.snr_db_list)]
     count = BENCH_WARMUP_CALLS + cfg.bench_detections
     rows: list[BenchRow] = []
     stream = 0
-    for name in BENCH_VARIANTS:
-        for snr_db, est_db in zip(cfg.snr_db_list, estimates):
+    for k, name in enumerate(BENCH_VARIANTS):
+        for snr_db, est_db, variants in points:
             stream += 1
             link = link_snr(snr_db, cfg.n_t)
             rng = make_stream(cfg.seed, _PILOT_STREAM_BASE // 2 + stream)
             h, tx_idx, _, y = _draw(cfg, c, count, link.noise_var, rng)
 
-            n_i = _iterations(name, cfg, est_db, table)
+            n_i = variants[k].n_i
             if name == "feedback":  # restarted passes plus per-candidate lookups
                 fn = lambda hb, yb: feedback_detect(
                     hb, yb, cfg.core, link, c, table, cfg.target_ber, est_db

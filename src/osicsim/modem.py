@@ -71,14 +71,14 @@ def _make_qam16() -> Constellation:
 QPSK = _make_qpsk()
 QAM16 = _make_qam16()
 
-_CONSTELLATIONS = {"qpsk": QPSK, "qam16": QAM16}
+CONSTELLATIONS = {"qpsk": QPSK, "qam16": QAM16}
 
 
 def get_constellation(name: str) -> Constellation:
     try:
-        return _CONSTELLATIONS[name.lower()]
+        return CONSTELLATIONS[name.lower()]
     except KeyError:
-        raise ValueError(f"unknown modulation {name!r}, expected one of {sorted(_CONSTELLATIONS)}") from None
+        raise ValueError(f"unknown modulation {name!r}, expected one of {sorted(CONSTELLATIONS)}") from None
 
 
 def bits_to_indices(bits, c: Constellation) -> np.ndarray:

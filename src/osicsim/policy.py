@@ -1,8 +1,8 @@
 """Iteration-count rules for the truncated V-BLAST detector.
 
 Two policies pick how many cancellation iterations to run from the
-operating SNR (a fixed count is not a policy: it is the sweep's
-``iters_list``):
+operating SNR (a fixed count is not a policy: it is an integer depth of
+the run):
 
 * ``formula``: the closed-form fit
   ``N_i = min(floor(n_t / 2), max(1, round((53 - 2 * snr_db) / 3)))`` with

@@ -73,7 +73,7 @@ def calibration():
         seed=SEED,
         workers=1,
     )
-    table, derived = calibrate(cfg)
+    table, derived, _ = calibrate(cfg)
     return table, derived
 
 

@@ -17,14 +17,13 @@ from osicsim.batched import (
     count_bit_errors,
     downdate_inverse_batch,
     inverse_batch,
-    ml_indices_batch,
     nulling_batch,
     slice_indices,
     transmit_batch,
     vblast_indices_batch,
 )
 from osicsim.channel import SnrSpec, gen_channel_batch, gen_noise_batch, make_stream
-from osicsim.detectors import DetectorSpec, ml_candidates, ml_detect, nulling_matrix, vblast_detect
+from osicsim.detectors import DetectorSpec, nulling_matrix, vblast_detect
 from osicsim.linalg import RankDeficiencyError, SingularMatrixError, inverse
 from osicsim.modem import QAM16, QPSK
 
@@ -294,17 +293,6 @@ class TestDowndateInverse:
         assert np.isfinite(p).all()
         assert np.array_equal(p[0], np.diag([1.0, 1.0, 0.0]))
         assert not p[:, 2].any() and not p[:, :, 2].any()
-
-
-class TestMlBatch:
-    def test_matches_scalar(self):
-        snr = SnrSpec(8.0)
-        c = QPSK
-        h, _, _, y = random_batch(64, 200, 2, 2, snr, c)
-        cand = ml_candidates(2, c)
-        idx = ml_indices_batch(h, y, cand, c)
-        for b in range(200):
-            assert np.array_equal(idx[b], ml_detect(h[b], y[b], c))
 
 
 class TestCountBitErrors:

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osicsim import cli
-from osicsim.cli import OPTIONS, main
+from osicsim.cli import DEFAULTS, OPTIONS, _sweep_config, main
+from osicsim.harness import SweepConfig
 
 # fast sweeps for CLI plumbing tests: 4x4 QPSK at one moderate SNR
 FAST = [
@@ -55,6 +56,20 @@ class TestValidation:
         )
         assert res.exit_code != 0
         assert "iterations 9 outside [0, 7]" in res.output
+
+    def test_iters_only_with_fixed_policy(self, tmp_path):
+        res = CliRunner().invoke(
+            main, ["ber-sweep", *FAST, "--policy", "formula", "--iters", "3", "--out", str(tmp_path / "o")]
+        )
+        assert res.exit_code != 0
+        assert "--iters" in res.output and "--policy formula" in res.output
+        assert not (tmp_path / "o").exists()
+
+    def test_defaults_are_the_sweep_config_defaults(self):
+        # each key with a SweepConfig field takes that field's default; the
+        # one literal left, the snr text, must parse to the default SNR list
+        assert {key for key, o in OPTIONS.items() if o.field is None} == {"snr", "detector", "policy", "iters", "calib"}
+        assert _sweep_config(DEFAULTS) == SweepConfig()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -154,6 +169,16 @@ class TestSubcommands:
         rows = (tmp_path / "ber_sweep.csv").read_text().splitlines()
         assert rows[1] == "snr_db,n_i,policy,bit_errors,total_bits,ber,mean_detect_ns"
         assert [r.split(",")[:4] for r in rows[2:]][1] == ["60", "0", "fixed", "2"]
+
+    def test_calibrate_warns_on_capped_cells(self, tmp_path):
+        # at 60 dB both grid cells of 2x2 QPSK (n_i = 0 and 1) stop at the symbol budget
+        res = run_cli(["calibrate", "--nt", "2", "--nr", "2", "--mod", "qpsk", "--snr", "60", "--out", str(tmp_path)])
+        assert res.exit_code == 0
+        lines = res.stderr.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("warning: fixed n_i=0 at 60 dB stopped at the symbol budget with ")
+        assert lines[1].startswith("warning: fixed n_i=1 at 60 dB stopped at the symbol budget with ")
+        assert len((tmp_path / "calibrate.csv").read_text().splitlines()) == 2 + 2
 
     def test_iter_sweep_enumerates_counts(self, tmp_path):
         res = run_cli(["iter-sweep", *FAST, "--out", str(tmp_path)])

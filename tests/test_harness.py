@@ -31,7 +31,6 @@ def small_cfg(**kw):
         modulation="qpsk",
         core="mmse",
         snr_db_list=(12.0,),
-        iters_list=(1,),
         min_symbols=10_000,
         min_errors=100,
         seed=1,
@@ -54,8 +53,6 @@ class TestSweepConfig:
             small_cfg(min_errors=10).validate()
         with pytest.raises(ConfigError, match="snr_db_list"):
             small_cfg(snr_db_list=()).validate()
-        with pytest.raises(ConfigError, match="outside"):
-            small_cfg(iters_list=(4,)).validate()
         with pytest.raises(ConfigError, match="unknown core"):
             small_cfg(core="dfe").validate()
         with pytest.raises(ConfigError, match="modulation"):
@@ -63,12 +60,7 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             small_cfg(snr_db_list=(8.0, 12.0, 8.0)).validate()
         with pytest.raises(ConfigError, match="duplicate"):
-            calibrate(small_cfg(snr_db_list=(8.0, 8.0), iters_list=None))
-
-    def test_policy_and_iters_list_exclusive(self):
-        # the policy picks the count, so an iters_list beside it would be ignored
-        with pytest.raises(ConfigError, match="policy.*iters_list"):
-            small_cfg(policy="formula", iters_list=(0, 1)).validate()
+            calibrate(small_cfg(snr_db_list=(8.0, 8.0)))
 
     def test_link_snr_convention(self):
         # nominal axis derates by 10 log10(n_t) at the link
@@ -77,8 +69,20 @@ class TestSweepConfig:
 
 
 class TestRunBerSweep:
+    def test_depths_checked(self):
+        # one rule for every depth: a count in [0, n_t - 1], a known name,
+        # and feedback only with a table
+        with pytest.raises(ConfigError, match="outside"):
+            run_ber_sweep(small_cfg(), (4,))
+        with pytest.raises(ConfigError, match="unknown depth 'fixed'"):
+            run_ber_sweep(small_cfg(), ("fixed",))
+        with pytest.raises(ConfigError, match="requires a calibration table"):
+            run_ber_sweep(small_cfg(), ("feedback",))
+        with pytest.raises(ConfigError, match="requires a calibration table"):
+            compare_policies(small_cfg(), None)
+
     def test_noiseless_limit_gives_zero_ber(self):
-        pts = run_ber_sweep(small_cfg(snr_db_list=(120.0,), iters_list=(0, 3)))
+        pts = run_ber_sweep(small_cfg(snr_db_list=(120.0,)), (0, 3))
         assert len(pts) == 2
         cap_bits = SYMBOL_BUDGET_FACTOR * 10_000 * 2
         for p in pts:
@@ -90,36 +94,36 @@ class TestRunBerSweep:
 
     def test_budget_cap_marks_point(self):
         # 60 dB 2x2 QPSK makes almost no errors: the cell stops at the cap
-        cfg = small_cfg(n_t=2, n_r=2, subcarriers=64, snr_db_list=(60.0,), iters_list=(0,), seed=1)
-        (p,) = run_ber_sweep(cfg)
+        cfg = small_cfg(n_t=2, n_r=2, subcarriers=64, snr_db_list=(60.0,), seed=1)
+        (p,) = run_ber_sweep(cfg, (0,))
         assert (p.bit_errors, p.capped) == (3, True)
         assert p.total_bits >= SYMBOL_BUDGET_FACTOR * cfg.min_symbols * 2
-        (met,) = run_ber_sweep(small_cfg(snr_db_list=(0.0,), iters_list=(0,)))
+        (met,) = run_ber_sweep(small_cfg(snr_db_list=(0.0,)), (0,))
         assert met.bit_errors >= 100 and not met.capped
 
     def test_very_low_snr_is_coin_flipping(self):
-        pts = run_ber_sweep(small_cfg(snr_db_list=(-20.0,), iters_list=(0,)))
+        pts = run_ber_sweep(small_cfg(snr_db_list=(-20.0,)), (0,))
         assert 0.45 <= pts[0].ber <= 0.55
 
     def test_deterministic_across_worker_counts(self):
-        cfg1 = small_cfg(snr_db_list=(8.0, 12.0), iters_list=(0, 2), workers=1)
-        cfg8 = small_cfg(snr_db_list=(8.0, 12.0), iters_list=(0, 2), workers=8)
-        pts1 = run_ber_sweep(cfg1)
-        pts8 = run_ber_sweep(cfg8)
+        cfg1 = small_cfg(snr_db_list=(8.0, 12.0), workers=1)
+        cfg8 = small_cfg(snr_db_list=(8.0, 12.0), workers=8)
+        pts1 = run_ber_sweep(cfg1, (0, 2))
+        pts8 = run_ber_sweep(cfg8, (0, 2))
         assert [(p.snr_db, p.n_i, p.bit_errors, p.total_bits) for p in pts1] == [
             (p.snr_db, p.n_i, p.bit_errors, p.total_bits) for p in pts8
         ]
 
     def test_repeat_run_bit_identical_counts(self):
-        cfg = small_cfg(snr_db_list=(10.0,), iters_list=(1,))
-        a = run_ber_sweep(cfg)
-        b = run_ber_sweep(cfg)
+        cfg = small_cfg(snr_db_list=(10.0,))
+        a = run_ber_sweep(cfg, (1,))
+        b = run_ber_sweep(cfg, (1,))
         assert a[0].bit_errors == b[0].bit_errors
         assert a[0].total_bits == b[0].total_bits
 
     def test_ber_monotone_in_snr(self):
-        cfg = small_cfg(snr_db_list=(2.0, 4.0, 6.0, 8.0), iters_list=(1,), min_errors=400)
-        pts = run_ber_sweep(cfg)
+        cfg = small_cfg(snr_db_list=(2.0, 4.0, 6.0, 8.0), min_errors=400)
+        pts = run_ber_sweep(cfg, (1,))
         bers = [p.ber for p in pts]
         for lo, hi in zip(bers[1:], bers[:-1]):
             assert lo <= hi * 1.15
@@ -137,19 +141,17 @@ class TestRunBerSweep:
             n_r=8,
             modulation="qam16",
             snr_db_list=(25.0,),
-            iters_list=None,
-            policy="formula",
         )
-        pts = run_ber_sweep(cfg)
+        pts = run_ber_sweep(cfg, ("formula",))
         assert len(pts) == 1
         assert pts[0].n_i == formula_iters(25.0, 8) == 1
         assert pts[0].policy == "formula"
 
     def test_subcarrier_count_statistically_invariant(self):
         # K only regroups draws; matched budgets must give matching BER
-        base = dict(snr_db_list=(6.0,), iters_list=(1,), min_errors=2000, min_symbols=40_000)
-        p1 = run_ber_sweep(small_cfg(subcarriers=1, **base))[0]
-        p64 = run_ber_sweep(small_cfg(subcarriers=64, **base))[0]
+        base = dict(snr_db_list=(6.0,), min_errors=2000, min_symbols=40_000)
+        p1 = run_ber_sweep(small_cfg(subcarriers=1, **base), (1,))[0]
+        p64 = run_ber_sweep(small_cfg(subcarriers=64, **base), (1,))[0]
         assert p1.ber == pytest.approx(p64.ber, rel=0.15)
 
     def test_pilot_estimation_mode_runs(self):
@@ -158,12 +160,10 @@ class TestRunBerSweep:
             n_r=8,
             modulation="qam16",
             snr_db_list=(25.0,),
-            iters_list=None,
-            policy="formula",
             snr_est="pilot",
             pilot_uses=512,
         )
-        pts = run_ber_sweep(cfg)
+        pts = run_ber_sweep(cfg, ("formula",))
         # pilot-estimated SNR lands near 25 dB, so the decision matches genie
         assert pts[0].n_i == 1
 
@@ -185,16 +185,16 @@ class TestGoldenCounts:
     values with it."""
 
     def test_ber_sweep_8x8_qam16_mmse(self):
-        cfg = SweepConfig(snr_db_list=(16.0, 22.0), iters_list=(7,), min_symbols=MIN_SYMBOLS_FLOOR, seed=7)
-        assert [(p.snr_db, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg)] == [
+        cfg = SweepConfig(snr_db_list=(16.0, 22.0), min_symbols=MIN_SYMBOLS_FLOOR, seed=7)
+        assert [(p.snr_db, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg, (7,))] == [
             (16.0, 7, 5061, 65536),
             (22.0, 7, 511, 65536),
         ]
 
     def test_ber_sweep_8x8_qam16_mmse_intermediate_depths(self):
         # 6 and 4 surviving streams reach the final linear block
-        cfg = SweepConfig(snr_db_list=(16.0, 22.0), iters_list=(2, 4), min_symbols=MIN_SYMBOLS_FLOOR, seed=7)
-        assert [(p.snr_db, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg)] == [
+        cfg = SweepConfig(snr_db_list=(16.0, 22.0), min_symbols=MIN_SYMBOLS_FLOOR, seed=7)
+        assert [(p.snr_db, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg, (2, 4))] == [
             (16.0, 2, 5594, 65536),
             (16.0, 4, 5160, 65536),
             (22.0, 2, 1131, 65536),
@@ -203,10 +203,10 @@ class TestGoldenCounts:
 
     def test_ber_sweep_4x4_qpsk_mmse_intermediate_depths(self):
         cfg = SweepConfig(
-            n_t=4, n_r=4, modulation="qpsk", core="mmse", snr_db_list=(8.0, 14.0), iters_list=(1, 2),
+            n_t=4, n_r=4, modulation="qpsk", core="mmse", snr_db_list=(8.0, 14.0),
             min_symbols=MIN_SYMBOLS_FLOOR, seed=7,
         )
-        assert [(p.snr_db, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg)] == [
+        assert [(p.snr_db, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg, (1, 2))] == [
             (8.0, 1, 1588, 24576),
             (8.0, 2, 1422, 24576),
             (14.0, 1, 320, 24576),
@@ -216,9 +216,7 @@ class TestGoldenCounts:
     def test_compare_policies_cell(self):
         # three depths (4, 1, 7) on the shared draws of one cell
         table = golden_table()
-        cfg = SweepConfig(
-            snr_db_list=(20.0,), iters_list=None, min_symbols=MIN_SYMBOLS_FLOOR, seed=7, target_ber=3e-2
-        )
+        cfg = SweepConfig(snr_db_list=(20.0,), min_symbols=MIN_SYMBOLS_FLOOR, seed=7, target_ber=3e-2)
         assert [(p.policy, p.n_i, p.bit_errors, p.total_bits) for p in compare_policies(cfg, table)] == [
             ("formula", 4, 1403, 65536),
             ("feedback", 1, 2785, 65536),
@@ -227,17 +225,16 @@ class TestGoldenCounts:
 
     def test_formula_sweep_pilot_estimate(self):
         # the pilot estimate at 22.75 dB lands above the formula's 2/3 boundary
-        cfg = SweepConfig(
-            snr_db_list=(16.0, 22.75), policy="formula", snr_est="pilot", min_symbols=MIN_SYMBOLS_FLOOR, seed=7
-        )
-        assert [(p.policy, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg)] == [
+        cfg = SweepConfig(snr_db_list=(16.0, 22.75), snr_est="pilot", min_symbols=MIN_SYMBOLS_FLOOR, seed=7)
+        assert [(p.policy, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg, ("formula",))] == [
             ("formula", 4, 5284, 65536),
             ("formula", 2, 874, 65536),
         ]
 
     def test_feedback_sweep(self):
-        cfg = SweepConfig(snr_db_list=(16.0, 20.0, 30.0), policy="feedback", min_symbols=MIN_SYMBOLS_FLOOR, seed=7)
-        assert [(p.policy, p.n_i, p.bit_errors, p.total_bits) for p in run_ber_sweep(cfg, golden_table())] == [
+        cfg = SweepConfig(snr_db_list=(16.0, 20.0, 30.0), min_symbols=MIN_SYMBOLS_FLOOR, seed=7)
+        points = run_ber_sweep(cfg, ("feedback",), table=golden_table())
+        assert [(p.policy, p.n_i, p.bit_errors, p.total_bits) for p in points] == [
             ("feedback", 4, 5284, 65536),
             ("feedback", 2, 1994, 65536),
             ("feedback", 1, 166, 65536),
@@ -281,8 +278,8 @@ class TestRankRedraw:
             return h
 
         monkeypatch.setattr(harness, "gen_channel_batch", inject)
-        cfg = small_cfg(core="zf", snr_db_list=(10.0,), iters_list=(2,))
-        pts = run_ber_sweep(cfg)
+        cfg = small_cfg(core="zf", snr_db_list=(10.0,))
+        pts = run_ber_sweep(cfg, (2,))
         assert pts[0].total_bits > 0  # completed despite injected deficiency
 
 
@@ -290,9 +287,9 @@ class TestCalibrate:
     def test_grid_and_derived_structure(self):
         cfg = small_cfg(
             n_t=4, n_r=4, modulation="qpsk", core="mmse",
-            snr_db_list=(6.0, 14.0), iters_list=None,
+            snr_db_list=(6.0, 14.0),
         )
-        table, derived = calibrate(cfg)
+        table, derived, _ = calibrate(cfg)
         # grid covers n_i = 0..n_imax for each snr
         assert sorted(set(table.n_i.tolist())) == [0, 1, 2]
         assert sorted(set(table.snr_db.tolist())) == [6.0, 14.0]
@@ -303,20 +300,20 @@ class TestCalibrate:
             assert 1 <= n <= 2
 
     def test_accept_anything_target_gives_one(self):
-        cfg = small_cfg(n_t=4, n_r=4, snr_db_list=(8.0,), iters_list=None, target_ber=0.49)
-        _, derived = calibrate(cfg)
+        cfg = small_cfg(n_t=4, n_r=4, snr_db_list=(8.0,), target_ber=0.49)
+        _, derived, _ = calibrate(cfg)
         assert derived == [(8.0, 1)]
 
     def test_target_outside_domain_refused(self):
-        cfg = small_cfg(n_t=4, n_r=4, snr_db_list=(8.0,), iters_list=None, target_ber=1.0)
+        cfg = small_cfg(n_t=4, n_r=4, snr_db_list=(8.0,), target_ber=1.0)
         with pytest.raises(ConfigError, match="target_ber must lie in"):
             calibrate(cfg)
 
     def test_grid_monotone_in_iterations(self):
         cfg = small_cfg(
-            n_t=4, n_r=4, snr_db_list=(10.0,), iters_list=None, min_errors=400,
+            n_t=4, n_r=4, snr_db_list=(10.0,), min_errors=400,
         )
-        table, _ = calibrate(cfg)
+        table, _, _ = calibrate(cfg)
         bers = {n: table.ber[(table.snr_db == 10.0) & (table.n_i == n)][0] for n in (0, 1, 2)}
         assert bers[1] <= bers[0] * 1.15
         assert bers[2] <= bers[1] * 1.15
@@ -326,10 +323,10 @@ class TestCalibrate:
 def table():
     cfg = SweepConfig(
         n_t=8, n_r=8, modulation="qam16", core="mmse",
-        snr_db_list=(16.0, 25.0, 34.0), iters_list=None,
+        snr_db_list=(16.0, 25.0, 34.0),
         min_symbols=25_000, min_errors=100, seed=3,
     )
-    table, _ = calibrate(cfg)
+    table, _, _ = calibrate(cfg)
     return table
 
 
@@ -338,7 +335,7 @@ class TestComparePolicies:
     def test_paired_points_share_bits(self, table):
         cfg = SweepConfig(
             n_t=8, n_r=8, modulation="qam16", core="mmse",
-            snr_db_list=(20.0, 30.0), iters_list=None, seed=4,
+            snr_db_list=(20.0, 30.0), seed=4,
         )
         pts = compare_policies(cfg, table)
         assert len(pts) == 6
@@ -355,14 +352,15 @@ class TestComparePolicies:
     def test_policies_not_worse_than_linear_and_ordinary_best_high_snr(self, table):
         cfg = SweepConfig(
             n_t=8, n_r=8, modulation="qam16", core="mmse",
-            snr_db_list=(30.0,), iters_list=None, seed=5, min_errors=200,
+            snr_db_list=(30.0,), seed=5, min_errors=200,
         )
         pts = {p.policy: p for p in compare_policies(cfg, table)}
         linear = run_ber_sweep(
             SweepConfig(
                 n_t=8, n_r=8, modulation="qam16", core="mmse",
-                snr_db_list=(30.0,), iters_list=(0,), seed=5, min_errors=200,
-            )
+                snr_db_list=(30.0,), seed=5, min_errors=200,
+            ),
+            (0,),
         )[0]
         for tag in ("formula", "feedback"):
             assert pts[tag].ber <= linear.ber * 1.15
@@ -372,7 +370,7 @@ class TestComparePolicies:
     def test_mismatched_table_rejected(self, table):
         cfg = SweepConfig(
             n_t=8, n_r=8, modulation="qam16", core="zf",
-            snr_db_list=(20.0,), iters_list=None,
+            snr_db_list=(20.0,),
         )
         from osicsim.policy import CalibrationError
 
@@ -394,7 +392,7 @@ class TestBench:
         )
         cfg = SweepConfig(
             n_t=8, n_r=8, modulation="qam16", core="mmse",
-            snr_db_list=(16.0, 30.0), iters_list=None,
+            snr_db_list=(16.0, 30.0),
             bench_detections=400, seed=6,
         )
         report = bench_complexity(cfg, table)
@@ -453,7 +451,7 @@ class TestBench:
 class TestCsvFormat:
     def test_ber_csv_layout(self):
         cfg = small_cfg()
-        pts = run_ber_sweep(cfg)
+        pts = run_ber_sweep(cfg, (1,))
         text = format_ber_csv(pts, cfg, "ber-sweep")
         lines = text.strip().split("\n")
         assert lines[0].startswith("# tool=osicsim")
@@ -467,8 +465,8 @@ class TestCsvFormat:
 
     def test_counts_identical_timing_may_differ(self):
         cfg = small_cfg()
-        a = format_ber_csv(run_ber_sweep(cfg), cfg, "ber-sweep")
-        b = format_ber_csv(run_ber_sweep(cfg), cfg, "ber-sweep")
+        a = format_ber_csv(run_ber_sweep(cfg, (1,)), cfg, "ber-sweep")
+        b = format_ber_csv(run_ber_sweep(cfg, (1,)), cfg, "ber-sweep")
         strip = lambda text: ["," .join(l.split(",")[:-1]) for l in text.strip().split("\n")]
         assert strip(a) == strip(b)
 

@@ -295,12 +295,13 @@ class TestIterationPolicy:
     ``bench/make_reference.py``."""
 
     def test_decide_fixed(self):
-        # fixed depths: the full loop, n_imax, and iters_list entries
+        # fixed depths: the full loop, n_imax, and integer depths
         cfg = SweepConfig()
         assert _iterations("ordinary", cfg, 20.0, None) == 7
         assert _iterations("fixed_nimax", cfg, 20.0, None) == 4
+        assert _iterations(3, cfg, 20.0, None) == 3
         with pytest.raises(ConfigError, match="outside"):
-            SweepConfig(iters_list=(9,)).validate()
+            run_ber_sweep(cfg, (9,))
 
     def test_decide_formula(self):
         assert _iterations("formula", SweepConfig(), 25.0, None) == 1
@@ -308,16 +309,16 @@ class TestIterationPolicy:
 
     def test_decide_feedback_needs_table(self):
         with pytest.raises(ConfigError, match="requires a calibration table"):
-            run_ber_sweep(SweepConfig(snr_db_list=(25.0,), policy="feedback"))
+            run_ber_sweep(SweepConfig(snr_db_list=(25.0,)), ("feedback",))
         assert _iterations("feedback", SweepConfig(), 0.0, synthetic_table()) == 4
         assert decide_iterations(IterationPolicy("feedback", 1e-2), 0.0, 8, synthetic_table()) == 4
 
     def test_validation(self):
-        # a fixed count is not a policy, and the one target lives in SweepConfig
-        with pytest.raises(ConfigError, match="unknown policy"):
-            SweepConfig(policy="fixed").validate()
+        # a fixed count is an integer depth, not a name, and the one target lives in SweepConfig
+        with pytest.raises(ConfigError, match="unknown depth"):
+            run_ber_sweep(SweepConfig(), ("fixed",))
         with pytest.raises(ConfigError, match="target_ber"):
-            SweepConfig(policy="formula", target_ber=0.7).validate()
+            run_ber_sweep(SweepConfig(target_ber=0.7), ("formula",))
 
     def test_bench_reference_keeps_its_depths(self):
         # bench/make_reference.py resolves the depths of reference.json
