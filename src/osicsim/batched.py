@@ -3,31 +3,34 @@
 Internal module. Each function works on a leading batch axis of
 independent channel instances, which is what makes desk-scale BER sweeps
 take seconds instead of hours. The scalar receiver in
-``linalg``/``detectors`` remains the public contract and the per-detection
-timing path of the complexity benchmark.
+``linalg``/``detectors`` remains the public contract that tests compare
+these kernels against.
 
 The scalar and batched paths share one nulling formula for both cores:
 the regularized Gram inverse ``P = (H^H H + lambda I)^-1`` with lambda = 0
 for ZF and the noise variance for MMSE, ordering metric ``diag P`` and
 nulling matrix ``G = P H^H``. They also share one slicer,
 ``modem.slice_indices``, which this module re-exports. :func:`nulling_batch`
-returns ``P`` itself rather than ``G``: the OSIC loop of
-:func:`vblast_indices_batch` does not recompute like the scalar receiver
-does, but inverts once per vector and removes each detected stream from
-``P`` by a rank-one Schur-complement downdate. Its arithmetic therefore
-differs from the scalar path in rounding; tests pin the two together on
-detection orders and point indices, and pin each downdated ``P`` to the
-``linalg.inverse`` residual bound against the freshly deflated Gram
-matrix wherever a fresh Gauss-Jordan inverse meets that bound itself
-(condition number below 1e6). Ties in the ordering go to the lowest
-original stream index in both paths.
+returns ``P`` itself rather than ``G``. There are two OSIC loops. The sweep
+engine's :func:`vblast_indices_batch` does not recompute like the scalar
+receiver does, but inverts once per vector and removes each detected
+stream from ``P`` by a rank-one Schur-complement downdate. The complexity
+benchmark's :func:`recompute_indices_batch` recomputes ``P`` and
+``G = P H^H`` on the compacted, deflated channel at every iteration, as
+the scalar receiver does, so its cost scales like the recomputing
+algorithm's. Both loops differ from the scalar path in rounding; tests
+pin them to it on detection orders and point indices, and pin each
+downdated ``P`` to the ``linalg.inverse`` residual bound against the
+freshly deflated Gram matrix wherever a fresh Gauss-Jordan inverse meets
+that bound itself (condition number below 1e6). Ties in the ordering go
+to the lowest original stream index in every path.
 
 :func:`inverse_batch` runs the scalar pivot rule in place on a batch-last
 ``(n, n, batch)`` copy, with no augmented ``[A | I]``, so every slice of
 an elimination step is contiguous over the batch; every entry it returns
 takes the same floating-point operations as in ``linalg.inverse``, so the
 two agree exactly. It returns a ``(batch, n, n)`` view of that storage.
-The OSIC loop keeps ``P`` and ``conj(H)`` at full size: a detected stream
+The downdating loop keeps ``P`` and ``conj(H)`` at full size: a detected stream
 is downdated out of ``P`` in place, which leaves its row and column zero,
 and its ordering metric is masked with ``+inf``, so every stream keeps its
 original index. ``P`` and ``H^H`` are compacted to the surviving streams
@@ -189,6 +192,48 @@ def vblast_indices_batch(
     hc = hc[np.broadcast_to(alive[:, None, :], hc.shape)].reshape(batch, n_r, m)
     z = np.einsum("bij,bj->bi", p @ hc.transpose(0, 2, 1), y)
     out[alive] = slice_indices(z, c).ravel()
+    return out, orders, ok
+
+
+def recompute_indices_batch(
+    h: np.ndarray, y: np.ndarray, core: str, iterations: int, snr: SnrSpec, c: Constellation
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched truncated V-BLAST that recomputes the nulling matrix at every iteration.
+
+    The paper's receiver, as ``detectors.vblast_detect`` runs it on one
+    vector: each iteration inverts the Gram matrix of the compacted,
+    deflated channel afresh, so its cost scales the way the recomputing
+    algorithm does. Returns ``(indices, orders, ok)`` as
+    :func:`vblast_indices_batch` does; ``ok`` is False wherever any of the
+    inversions met a vanishing pivot.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    y = np.array(y, dtype=np.complex128)  # a copy: cancelled in place
+    batch, n_r, n_t = h.shape
+    if iterations > n_t - 1:
+        raise ValueError(f"iterations {iterations} exceeds n_t - 1 = {n_t - 1}")
+
+    rows = np.arange(batch)
+    active = np.broadcast_to(np.arange(n_t), (batch, n_t))  # original indices of undetected streams
+    out = np.zeros((batch, n_t), dtype=np.int64)
+    orders = np.zeros((batch, iterations), dtype=np.int64)
+    ok = np.ones(batch, dtype=bool)
+    for it in range(iterations + 1):  # the last round is the final linear block
+        p, metric, ok_it = nulling_batch(h, core, snr)
+        ok &= ok_it
+        g = p @ h.conj().transpose(0, 2, 1)
+        if it == iterations:
+            break
+        j = np.argmin(metric, axis=1)  # first minimum -> lowest original index
+        sidx = slice_indices((g[rows, j][:, None, :] @ y[:, :, None])[:, 0, 0], c)
+        orders[:, it] = active[rows, j]
+        out[rows, orders[:, it]] = sidx
+        y -= h[rows, :, j] * c.points[sidx][:, None]
+        keep = np.ones(active.shape, dtype=bool)
+        keep[rows, j] = False
+        active = active[keep].reshape(batch, -1)
+        h = h[np.broadcast_to(keep[:, None, :], h.shape)].reshape(batch, n_r, -1)
+    out[rows[:, None], active] = slice_indices((g @ y[:, :, None])[:, :, 0], c)
     return out, orders, ok
 
 

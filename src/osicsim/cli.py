@@ -292,12 +292,16 @@ def _ber_result(command: str, cfg: SweepConfig, points, calib: dict | None = Non
 
 
 def _ber_sweep(resolved: dict) -> Result:
-    detector = resolved["detector"]
+    detector, policy, iters = resolved["detector"], resolved["policy"], resolved["iters"]
     if detector != "vblast":
+        for flag in ("policy", "iters"):
+            if resolved[flag] != DEFAULTS[flag]:
+                raise click.UsageError(
+                    f"--{flag} sets the depth of --detector vblast; it cannot go with --detector {detector}"
+                )
         # a linear run nulls with the detector itself, so its CSV header names that core
         cfg = _sweep_config({**resolved, "core": detector})
         return _ber_result("ber-sweep", cfg, run_linear_sweep(cfg, detector))
-    policy, iters = resolved["policy"], resolved["iters"]
     if policy != "fixed" and iters is not None:
         raise click.UsageError(f"--iters sets the count of --policy fixed; it cannot go with --policy {policy}")
     # the fixed policy runs --iters, or nt - 1 by default; another policy is a depth name

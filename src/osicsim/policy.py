@@ -21,12 +21,14 @@ plain arguments; the harness resolves every detection depth of a run in
 one place (``harness._iterations``), once per SNR operating point, with
 the target from ``SweepConfig.target_ber``.
 
-``feedback_detect`` models the feedback receiver's cost structure: each
-candidate count runs a fresh truncated detection pass (the
+``feedback_detect`` models the feedback receiver's cost structure on one
+vector: each candidate count runs a fresh truncated detection pass (the
 nulling/slicing/cancellation loop restarts, as the flowchart's re-entry
 implies), followed by one table lookup and branch. The detected output
-equals a single pass at the accepted count; only the cost differs, which
-is what the complexity benchmark measures.
+equals a single pass at the accepted count; only the cost differs. The
+complexity benchmark runs the same restarts on whole batches
+(``harness.bench_complexity``); this scalar receiver is the reference
+that tests compare it against.
 """
 
 from __future__ import annotations
@@ -271,7 +273,9 @@ def feedback_detect(
     ``n_imax``. The output is identical to a single pass at the accepted
     count; the restarts exist to model (and be charged for) the feedback
     algorithm's repeated nulling/slicing/cancellation work, which is what
-    makes it costlier than ordinary V-BLAST at low SNR.
+    makes it costlier than ordinary V-BLAST at low SNR. The batched bench
+    runs the same passes and lookups; this scalar form is the reference
+    that tests compare against.
     """
     h = np.asarray(h, dtype=np.complex128)
     nmax = n_imax(h.shape[1])

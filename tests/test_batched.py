@@ -18,6 +18,7 @@ from osicsim.batched import (
     downdate_inverse_batch,
     inverse_batch,
     nulling_batch,
+    recompute_indices_batch,
     slice_indices,
     transmit_batch,
     vblast_indices_batch,
@@ -211,6 +212,47 @@ class TestVblastBatch:
             assert list(orders[b]) == trace.order
             assert np.array_equal(idx[b], trace.indices)
 
+
+
+class TestRecomputeBatch:
+    @pytest.mark.parametrize("core", ["zf", "mmse"])
+    @pytest.mark.parametrize("n_r, n_t, c", [(8, 8, QAM16), (4, 4, QPSK), (8, 6, QAM16)])
+    def test_matches_scalar_at_every_depth(self, core, n_r, n_t, c):
+        for seed, snr_db in enumerate((0.0, 10.0, 20.0, 34.0)):
+            snr = SnrSpec(snr_db)
+            h, _, _, y = random_batch(70 + seed, 12, n_r, n_t, snr, c)
+            for iters in range(n_t):
+                idx, orders, ok = recompute_indices_batch(h, y, core, iters, snr, c)
+                assert ok.all()
+                for b in range(12):
+                    trace = vblast_detect(h[b], y[b], DetectorSpec(core, iters), snr, c)
+                    assert list(orders[b]) == trace.order, (snr_db, iters, b)
+                    assert np.array_equal(idx[b], trace.indices), (snr_db, iters, b)
+
+    @pytest.mark.parametrize("iters", [0, 2])
+    def test_zero_column_flagged_not_fatal(self, iters):
+        snr = SnrSpec(15.0)
+        h, _, _, y = random_batch(74, 16, 4, 4, snr, QPSK)
+        h[5, :, 2] = 0.0
+        idx, _, ok = recompute_indices_batch(h, y, "zf", iters, snr, QPSK)
+        assert not ok[5]
+        assert ok[[b for b in range(16) if b != 5]].all()
+        for b in range(16):
+            if b != 5:
+                assert np.array_equal(idx[b], vblast_detect(h[b], y[b], DetectorSpec("zf", iters), snr, QPSK).indices)
+
+    def test_inverts_the_deflated_channel_at_every_iteration(self, monkeypatch):
+        shapes = []
+
+        def counting(a):
+            shapes.append(a.shape)
+            return inverse_batch(a)
+
+        monkeypatch.setattr(batched, "inverse_batch", counting)
+        snr = SnrSpec(18.0)
+        h, _, _, y = random_batch(75, 48, 8, 8, snr, QAM16)
+        recompute_indices_batch(h, y, "mmse", 4, snr, QAM16)
+        assert shapes == [(48, n, n) for n in (8, 7, 6, 5, 4)]
 
 def survivors(p, alive):
     """The rows and columns of the full-size ``p`` that ``alive`` keeps, compacted."""

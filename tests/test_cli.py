@@ -65,6 +65,18 @@ class TestValidation:
         assert "--iters" in res.output and "--policy formula" in res.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flags, named", [(["--policy", "feedback", "--iters", "3"], "--policy"), (["--iters", "3"], "--iters")]
+    )
+    def test_linear_detector_refuses_depth_flags(self, tmp_path, flags, named):
+        res = CliRunner().invoke(
+            main, ["ber-sweep", "--nt", "4", "--nr", "4", "--mod", "qpsk", "--subcarriers", "8", "--snr", "8",
+                   "--detector", "zf", *flags, "--out", str(tmp_path / "o")]
+        )
+        assert res.exit_code != 0
+        assert named in res.output and "--detector zf" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_defaults_are_the_sweep_config_defaults(self):
         # each key with a SweepConfig field takes that field's default; the
         # one literal left, the snr text, must parse to the default SNR list

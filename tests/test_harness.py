@@ -18,9 +18,9 @@ from osicsim.harness import (
     format_bench_csv,
     run_ber_sweep,
     run_linear_sweep,
-    _timed_calls,
 )
-from osicsim.policy import CalibrationTable, formula_iters
+from osicsim.linalg import RankDeficiencyError
+from osicsim.policy import CalibrationTable, feedback_iters, formula_iters
 
 
 def small_cfg(**kw):
@@ -411,6 +411,54 @@ class TestBench:
             (r.variant, r.snr_db, r.bit_errors) for r in report2.rows
         ]
 
+    def test_feedback_restarts_a_pass_per_candidate_depth(self, monkeypatch):
+        # every cell detects its warm-up batch once and its timed batch
+        # BENCH_REPEATS times; feedback runs passes 1 .. n_i each time and
+        # reports the n_i that feedback_iters plans
+        depths = []
+        real = harness.recompute_indices_batch
+
+        def recording(h, y, core, iterations, snr, c):
+            depths.append(iterations)
+            return real(h, y, core, iterations, snr, c)
+
+        monkeypatch.setattr(harness, "recompute_indices_batch", recording)
+        cfg = SweepConfig(snr_db_list=(16.0, 30.0), bench_detections=100, seed=6, target_ber=3e-2)
+        table = golden_table()
+        rows = bench_complexity(cfg, table).rows
+        calls = 1 + harness.BENCH_REPEATS
+        expected = []
+        for snr_db in cfg.snr_db_list:
+            planned = feedback_iters(snr_db, table, cfg.target_ber, cfg.n_t)
+            assert [r.n_i for r in rows if r.variant == "feedback" and r.snr_db == snr_db] == [planned]
+            expected += [7] * calls + [4] * calls + [formula_iters(snr_db, cfg.n_t)] * calls
+            expected += list(range(1, planned + 1)) * calls
+        assert depths == expected
+        assert {r.n_i for r in rows if r.variant == "feedback"} == {1, 2}
+
+    @pytest.mark.parametrize("vector", [0, harness.BENCH_WARMUP_CALLS + 50])
+    def test_rank_deficient_channel_raises(self, monkeypatch, vector):
+        # a duplicated column, in a warm-up or in a timed vector of the first cell
+        calls = {"n": 0}
+        real = harness.gen_channel_batch
+
+        def inject(count, n_r, n_t, rng):
+            h = real(count, n_r, n_t, rng)
+            calls["n"] += 1
+            if calls["n"] == 1:
+                h[vector, :, 1] = h[vector, :, 0]
+            return h
+
+        monkeypatch.setattr(harness, "gen_channel_batch", inject)
+        cfg = small_cfg(core="zf", snr_db_list=(10.0,), bench_detections=100)
+        table = CalibrationTable(
+            np.array([10.0, 10.0]), np.array([1, 2]), np.array([1e-2, 1e-3]), np.array([10_000] * 2),
+            {"mod": "qpsk", "nt": 4, "nr": 4, "core": "zf"},
+        )
+        with pytest.raises(RankDeficiencyError, match="ordinary at 10 dB"):
+            bench_complexity(cfg, table)
+        assert calls["n"] == 1
+
     def test_zero_iteration_variant_is_cheapest(self):
         # strictly less work than every other truncation; assert by measurement,
         # in interleaved rounds so that drifting host load affects every variant
@@ -440,12 +488,6 @@ class TestBench:
                 rounds[n_i].append((_time.perf_counter_ns() - t0) / len(block))
         means = {n_i: float(np.median(t)) for n_i, t in rounds.items()}
         assert means[0] < means[4] < means[7], rounds
-
-    def test_timed_calls_normal_path(self):
-        total, count, outs = _timed_calls(lambda x: x + 1, [(i,) for i in range(10)])
-        assert count == 10
-        assert outs == list(range(1, 11))
-        assert total > 0
 
 
 class TestCsvFormat:

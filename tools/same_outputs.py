@@ -37,6 +37,8 @@ FAST = ["--nt", "4", "--nr", "4", "--mod", "qpsk", "--subcarriers", "8", "--snr"
 # the policies' own system, where the formula's pick changes across the SNR list
 POLICY_8X8 = ["--nt", "8", "--nr", "8", "--mod", "qam16", "--subcarriers", "8", "--snr", "16,22.75,25"]
 TABLE = "table.csv"
+# the benchmark's 8x8 16-QAM MMSE calibration table, read in place
+CALIB_8X8 = str(Path(__file__).resolve().parent.parent / "bench" / "calib_8x8_qam16.csv")
 # (name, arguments); TABLE is replaced by the path of a fixed calibration table
 RUNS = [
     ("ber-sweep-iters", ["ber-sweep", *FAST, "--iters", "2"]),
@@ -47,6 +49,7 @@ RUNS = [
     ("calibrate", ["calibrate", *FAST, "--emit-plot"]),
     ("compare", ["compare", *FAST, "--calib", TABLE, "--emit-plot"]),
     ("bench", ["bench", *FAST, "--calib", TABLE, "--bench-detections", "100"]),
+    ("bench-8x8", ["bench", *POLICY_8X8, "--calib", CALIB_8X8, "--bench-detections", "100"]),
 ]
 HELP = [[], ["ber-sweep"], ["iter-sweep"], ["calibrate"], ["compare"], ["bench"], ["formula-eval"], ["rerun"]]
 TIMED = {"ber_sweep.csv", "iter_sweep.csv", "compare.csv", "bench.csv"}
