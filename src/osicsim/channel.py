@@ -35,6 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 RNG_ALGORITHM = "philox4x64+box-muller"
+# the ``rng`` record of every manifest; ``rerun`` replays only a manifest
+# that carries this one, since another scheme's draws cannot be repeated
+RNG_SCHEME = {"bit_generator": "philox4x64", "gaussian": "box-muller", "key_scheme": "(seed, stream)"}
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ Every data-producing run writes a JSON manifest recording the fully
 resolved configuration, tool, python and numpy versions, the machine and
 the RNG scheme, plus the absolute path and SHA-256 of any calibration
 table the run read; ``rerun`` replays a manifest from any directory,
-refuses a calibration table whose hash has changed or a key the command
-does not read set away from its default, and reproduces every non-timing
-output byte for the same numpy build.
+refuses a manifest whose RNG scheme is not this build's, a calibration
+table whose hash has changed or a key the command does not read set away
+from its default, and reproduces every non-timing output byte for the
+same numpy build.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import click
 import numpy as np
 
 from . import __version__
+from .channel import RNG_SCHEME
 from .detectors import NULLING_CORES
 from .harness import (
     POLICIES,
@@ -245,7 +247,7 @@ def _write_manifest(
         "machine": _machine_note(),
         "command": command,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "rng": {"bit_generator": "philox4x64", "gaussian": "box-muller", "key_scheme": "(seed, stream)"},
+        "rng": RNG_SCHEME,
         "seed": resolved["seed"],
         "config": resolved,
         "outputs": outputs,
@@ -448,6 +450,11 @@ def rerun(manifest, out):
         raise click.ClickException(f"cannot load manifest: {exc}") from None
     if command not in COMMANDS:
         raise click.ClickException(f"{manifest}: unknown command {command!r}")
+    if data.get("rng") != RNG_SCHEME:
+        raise click.ClickException(
+            f"{manifest}: RNG scheme {data.get('rng')!r} is not this build's {RNG_SCHEME!r}, "
+            "so its draws cannot be replayed"
+        )
     resolved = _manifest_config(config, manifest, command)
     calib = data.get("calib")
     if calib is not None:

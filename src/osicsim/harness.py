@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from numbers import Integral
 
@@ -311,6 +310,9 @@ def _run_cells(cfg: SweepConfig, cells: list[_Cell]) -> list[BerPoint]:
     if cfg.workers == 1:
         chunks = [_run_cell(cfg, cell) for cell in cells]
     else:
+        # imported here: the pool module loads multiprocessing and subprocess, which one worker never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             chunks = list(pool.map(_run_cell, [cfg] * len(cells), cells))
     return [point for chunk in chunks for point in chunk]
@@ -349,16 +351,18 @@ def _iterations(depth, cfg: SweepConfig, est_db: float, table: CalibrationTable 
 def _resolve_depths(cfg: SweepConfig, depths: tuple, table: CalibrationTable | None) -> list[tuple]:
     """``(snr_db, est_db, variants)`` per SNR point, one ``_Variant`` per entry of ``depths``.
 
-    Checks ``cfg`` and ``depths`` first: a count must lie in
-    ``[0, n_t - 1]``, a name must be one ``_iterations`` resolves, and
-    ``feedback`` needs a ``table`` made for this system. A count is tagged
-    ``fixed``, a name with itself.
+    Checks ``cfg`` and ``depths`` first: a count must be an integer, not
+    a bool, in ``[0, n_t - 1]``, a name must be one ``_iterations``
+    resolves, and ``feedback`` needs a ``table`` made for this system. A
+    count is tagged ``fixed``, a name with itself.
     """
     cfg.validate()
     for d in depths:
         if isinstance(d, str):
             if d not in BENCH_VARIANTS:
                 raise ConfigError(f"unknown depth {d!r}, expected an iteration count or one of {BENCH_VARIANTS}")
+        elif isinstance(d, (bool, np.bool_)):
+            raise ConfigError(f"depth {d!r} is a bool, expected an iteration count or one of {BENCH_VARIANTS}")
         elif not (isinstance(d, Integral) and 0 <= d <= cfg.n_t - 1):
             raise ConfigError(f"iterations {d} outside [0, {cfg.n_t - 1}] (n_t = {cfg.n_t})")
     if "feedback" in depths:
@@ -468,7 +472,13 @@ def compare_policies(cfg: SweepConfig, table: CalibrationTable) -> list[BerPoint
 
 
 def _machine_note() -> str:
-    cpu = platform.processor() or "unknown-cpu"
+    """OS, architecture, CPU model and python version, for manifests and bench CSVs.
+
+    The CPU model comes from ``/proc/cpuinfo`` where it names one;
+    ``platform.processor()`` is asked only otherwise, because on Linux it
+    forks the interpreter to run ``uname -p``.
+    """
+    cpu = None
     try:
         with open("/proc/cpuinfo") as fh:
             for line in fh:
@@ -477,6 +487,7 @@ def _machine_note() -> str:
                     break
     except OSError:
         pass
+    cpu = cpu or platform.processor() or "unknown-cpu"
     return f"{platform.system()} {platform.machine()} | {cpu} | python {platform.python_version()}"
 
 

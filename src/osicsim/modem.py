@@ -46,7 +46,7 @@ class Constellation:
         energy = float(np.mean(np.abs(self.points) ** 2))
         if abs(energy - 1.0) > 1e-12:
             raise ValueError(f"constellation mean energy {energy} is not 1")
-        if len(np.unique(self.points)) != m:
+        if len(set(self.points.tolist())) != m:
             raise ValueError("constellation points must be distinct")
 
 

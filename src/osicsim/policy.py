@@ -121,9 +121,6 @@ class CalibrationTable:
 
     # -- lookups ---------------------------------------------------------
 
-    def snr_grid(self) -> np.ndarray:
-        return np.unique(self.snr_db)
-
     def _curve(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         mask = self.n_i == n
         if not mask.any():
@@ -149,10 +146,9 @@ class CalibrationTable:
         (:func:`feedback_iters`) and the in-loop detector
         (:func:`feedback_detect`) consult, so the two always agree.
         """
-        grid = self.snr_grid()
-        if snr_db < grid[0]:
+        if snr_db < self.snr_db.min():
             return False
-        if snr_db > grid[-1]:
+        if snr_db > self.snr_db.max():
             return True
         return self.interp_ber(snr_db, n) <= target_ber
 

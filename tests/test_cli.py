@@ -477,6 +477,24 @@ class TestBoundaryInputs:
         assert f"{command} does not read config key {key!r}" in res.output and repr(value) in res.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "edit, recorded",
+        [
+            (lambda d: d["rng"].update(key_scheme="(seed, cell, batch)"), "(seed, cell, batch)"),
+            (lambda d: d.pop("rng"), "None"),
+        ],
+        ids=["other-key-scheme", "missing"],
+    )
+    def test_rerun_refuses_another_rng_scheme(self, tmp_path, valid_manifest, edit, recorded):
+        data = json.loads(json.dumps(valid_manifest))
+        edit(data)
+        manifest = tmp_path / "ber_sweep_manifest.json"
+        manifest.write_text(json.dumps(data))
+        res = CliRunner().invoke(main, ["rerun", str(manifest), "--out", str(tmp_path / "o")])
+        assert res.exit_code != 0
+        assert recorded in res.output and "(seed, stream)" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_records_versions_and_machine(self, valid_manifest):
         import platform
 

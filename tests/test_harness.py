@@ -1,5 +1,11 @@
 """Tests for the Monte Carlo harness: sweeps, calibration, compare, bench."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -80,6 +86,12 @@ class TestRunBerSweep:
             run_ber_sweep(small_cfg(), ("feedback",))
         with pytest.raises(ConfigError, match="requires a calibration table"):
             compare_policies(small_cfg(), None)
+
+    @pytest.mark.parametrize("depth", [True, np.bool_(False)], ids=["bool", "numpy-bool"])
+    def test_bool_depth_refused(self, depth):
+        # bool is an Integral, so True would pass the range check as 1
+        with pytest.raises(ConfigError, match=f"depth {depth!r} is a bool"):
+            run_ber_sweep(small_cfg(), (depth,))
 
     def test_noiseless_limit_gives_zero_ber(self):
         pts = run_ber_sweep(small_cfg(snr_db_list=(120.0,)), (0, 3))
@@ -530,3 +542,67 @@ class TestCsvFormat:
         lines = text.strip().split("\n")
         assert lines[1] == "variant,snr_db,n_i,detections,bit_errors,total_bits,mean_ns"
         assert len(lines) == 2 + 4  # four variants, one snr
+
+
+def _cpuinfo_model():
+    """The first ``model name`` of ``/proc/cpuinfo``, or None."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.lower().startswith("model name"):
+                    return line.split(":", 1)[1].strip() or None
+    except OSError:
+        pass
+    return None
+
+
+class TestWhatARunLoads:
+    """A single-worker run loads and starts only what it uses."""
+
+    def test_single_worker_run_loads_no_pool_or_masked_arrays(self):
+        code = textwrap.dedent(
+            """
+            import resource, sys
+            import numpy as np
+            from osicsim.harness import SweepConfig, bench_complexity, run_ber_sweep
+            from osicsim.policy import CalibrationTable
+
+            cfg = SweepConfig(n_t=2, n_r=2, modulation="qpsk", subcarriers=8, snr_db_list=(10.0,),
+                              bench_detections=100)
+            run_ber_sweep(cfg, (1,))
+            table = CalibrationTable(np.array([10.0]), np.array([1]), np.array([1e-2]), np.array([10_000]),
+                                     {"mod": "qpsk", "nt": 2, "nr": 2, "core": "mmse"})
+            bench_complexity(cfg, table)
+            print(sorted(m for m in ("numpy.ma", "concurrent.futures.process") if m in sys.modules))
+            print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+            """
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, child_rss = proc.stdout.splitlines()
+        assert loaded == "[]"
+        if _cpuinfo_model():
+            # bench_complexity's machine note read the model and forked no `uname -p`
+            assert child_rss == "0"
+
+
+class TestMachineNote:
+    @pytest.mark.skipif(_cpuinfo_model() is None, reason="no model name in /proc/cpuinfo")
+    def test_cpuinfo_model_needs_no_processor_call(self, monkeypatch):
+        def forks():
+            raise AssertionError("platform.processor() runs `uname -p` in a child process")
+
+        monkeypatch.setattr(harness.platform, "processor", forks)
+        assert f"| {_cpuinfo_model()} |" in harness._machine_note()
+
+    def test_unreadable_cpuinfo_falls_back_to_processor(self, monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise PermissionError("/proc/cpuinfo")
+
+        monkeypatch.setattr(harness, "open", unreadable, raising=False)
+        monkeypatch.setattr(harness.platform, "processor", lambda: "test-cpu")
+        assert "| test-cpu |" in harness._machine_note()
