@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RNG_ALGORITHM = "philox4x64+box-muller"
 # the ``rng`` record of every manifest; ``rerun`` replays only a manifest
 # that carries this one, since another scheme's draws cannot be repeated
 RNG_SCHEME = {"bit_generator": "philox4x64", "gaussian": "box-muller", "key_scheme": "(seed, stream)"}
+RNG_ALGORITHM = f"{RNG_SCHEME['bit_generator']}+{RNG_SCHEME['gaussian']}"
 
 
 @dataclass(frozen=True)

@@ -361,7 +361,7 @@ def _resolve_depths(cfg: SweepConfig, depths: tuple, table: CalibrationTable | N
         if isinstance(d, str):
             if d not in BENCH_VARIANTS:
                 raise ConfigError(f"unknown depth {d!r}, expected an iteration count or one of {BENCH_VARIANTS}")
-        elif isinstance(d, (bool, np.bool_)):
+        elif isinstance(d, bool):
             raise ConfigError(f"depth {d!r} is a bool, expected an iteration count or one of {BENCH_VARIANTS}")
         elif not (isinstance(d, Integral) and 0 <= d <= cfg.n_t - 1):
             raise ConfigError(f"iterations {d} outside [0, {cfg.n_t - 1}] (n_t = {cfg.n_t})")

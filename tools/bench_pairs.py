@@ -6,24 +6,27 @@ copy of the working tree. For every workload, pair ``i`` runs
 
     python3 bench/run.py --workload W --seed SEED --seconds S --trace 0
 
-once in each checkout on the same seed, the old checkout first in even
+with ``S`` the ``run_seconds`` of NEW_CHECKOUT's ``BENCHMARK.json``, once
+in each checkout on the same seed, the old checkout first in even
 pairs and the new one first in odd pairs. Pairs of ``BENCH_<n>.json`` run
 seeds ``100 n + i``, so every file measures seeds no earlier file used.
 
 Usage, from the repository root:
 
-    python3 tools/bench_pairs.py OLD_CHECKOUT NEW_CHECKOUT --workload W [--workload W2 ...] --pairs N --seconds S
+    python3 tools/bench_pairs.py OLD_CHECKOUT NEW_CHECKOUT [--workload W ...] [--pairs N]
 
 Without ``--workload`` it runs every workload of NEW_CHECKOUT's
 ``BENCHMARK.json``. It writes ``BENCH_<n>.json`` next to the highest
 existing ``BENCH_*.json`` of the current directory, with ``n`` one above
-it, rewriting it after each workload. Per end-to-end metric it records
+it, rewriting it after each workload. ``--pairs`` defaults to, and may
+not go below, ten. Per end-to-end metric it records
 each side's runs, median and quartiles, the ratio of medians and the pairs
 the new checkout won, together with the machine note and both checkouts'
 ``src`` hashes. It prints one verdict per metric and workload, by the rule
 of paired runs:
 
-* ``gain``: the new checkout wins at least nine tenths of the pairs (ties
+* ``gain``: the new checkout's runs fail no more operations than the old
+  one's, the new checkout wins at least nine tenths of the pairs (ties
   count for neither side) and its median is better than the old one's by
   more than the old checkout's interquartile range;
 * ``unresolved``: either side's interquartile range, relative to its
@@ -46,6 +49,7 @@ import sys
 from pathlib import Path
 
 SEEDS_PER_FILE = 100
+MIN_PAIRS = 10
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -66,11 +70,17 @@ def better(value: float, than: float, direction: str) -> bool:
     return value < than if direction == "lower" else value > than
 
 
-def judge(old: list[float], new: list[float], old_q: list[float], new_q: list[float], wins: int, spec: dict) -> str:
-    """The verdict on one metric; ``old_q`` and ``new_q`` are each side's three quartiles."""
+def judge(old: list[float], new: list[float], old_q: list[float], new_q: list[float], wins: int,
+          failed: dict, spec: dict) -> str:
+    """The verdict on one metric; ``old_q`` and ``new_q`` are each side's three quartiles.
+
+    ``failed`` counts each side's failed operations: a change that fails
+    more often than the parent gains nothing, however its metrics read.
+    """
     direction, bound = spec["better"], spec["bound"]
     beyond_spread = abs(new_q[1] - old_q[1]) > old_q[2] - old_q[0]
-    if wins >= 0.9 * len(old) and better(new_q[1], old_q[1], direction) and beyond_spread:
+    fails_no_more = failed["change"] <= failed["parent"]
+    if fails_no_more and wins >= 0.9 * len(old) and better(new_q[1], old_q[1], direction) and beyond_spread:
         return "gain"
     spread = max((q[2] - q[0]) / abs(q[1]) for q in (old_q, new_q))
     if spread > bound:
@@ -80,7 +90,7 @@ def judge(old: list[float], new: list[float], old_q: list[float], new_q: list[fl
     return "regression" if worse > bound else "no regression"
 
 
-def metric_record(old: list[float], new: list[float], spec: dict) -> dict:
+def metric_record(old: list[float], new: list[float], failed: dict, spec: dict) -> dict:
     wins = sum(better(n, o, spec["better"]) for o, n in zip(old, new))
     old_q = statistics.quantiles(old, n=4)
     new_q = statistics.quantiles(new, n=4)
@@ -94,20 +104,10 @@ def metric_record(old: list[float], new: list[float], spec: dict) -> dict:
         "change_iqr": [new_q[0], new_q[2]],
         "ratio_of_medians": new_q[1] / old_q[1],
         "change_better_pairs": wins,
-        "verdict": judge(old, new, old_q, new_q, wins, spec),
+        "verdict": judge(old, new, old_q, new_q, wins, failed, spec),
         "parent_runs": old,
         "change_runs": new,
     }
-
-
-def git_sha(checkout: Path) -> str | None:
-    if not (checkout / ".git").exists():
-        return None
-    try:
-        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def next_bench_path() -> Path:
@@ -121,25 +121,23 @@ def main(argv: list[str]) -> int:
     parser.add_argument("old", type=Path, metavar="OLD_CHECKOUT")
     parser.add_argument("new", type=Path, metavar="NEW_CHECKOUT")
     parser.add_argument("--workload", action="append", help="a workload of BENCHMARK.json; repeat for several")
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS, help=f"at least {MIN_PAIRS} (default)")
     args = parser.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
     spec = json.loads((new / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     unknown = set(workloads) - {w["name"] for w in spec["workloads"]}
-    if unknown or args.pairs < 2:
-        parser.error(f"unknown workloads {sorted(unknown)}" if unknown else "--pairs must be at least 2")
+    if unknown or args.pairs < MIN_PAIRS:
+        parser.error(f"unknown workloads {sorted(unknown)}" if unknown else f"--pairs must be at least {MIN_PAIRS}")
+    seconds = spec["run_seconds"]
     out = next_bench_path()
     n = int(out.stem.split("_")[1])
     seeds = [SEEDS_PER_FILE * n + i for i in range(args.pairs)]
 
     report = {
-        "parent_sha": git_sha(old),
-        "change_sha": git_sha(new),
         "config": {
-            "command": f"python3 bench/run.py --workload <name> --seed <seed> --seconds {args.seconds:g} --trace 0",
+            "command": f"python3 bench/run.py --workload <name> --seed <seed> --seconds {seconds:g} --trace 0",
             "pairs": args.pairs,
             "seeds": f"{seeds[0]}-{seeds[-1]} on every workload; pair i runs one seed on both sides",
             "order": "parent first in even pairs, change first in odd pairs",
@@ -152,23 +150,24 @@ def main(argv: list[str]) -> int:
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(bench_run(old if side == "parent" else new, workload, seed, args.seconds))
+                runs[side].append(bench_run(old if side == "parent" else new, workload, seed, seconds))
             print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr, flush=True)
         prov = {side: runs[side][0]["provenance"] for side in runs}
         report["machine"] = (f"{platform.system()} {platform.machine()} | {prov['parent']['cpu']} | "
                              f"python {prov['parent']['python']} | nproc {prov['parent']['nproc']}")
         report["numpy"] = prov["parent"]["numpy"]
         report["src_sha256"] = {side: prov[side]["src_sha256"] for side in runs}
+        failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
         record = {
             "pairs": args.pairs,
             "seeds": seeds,
-            "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
+            "failed": failed,
             "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
             "metrics": {},
         }
         for name, m in metrics.items():
             values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-            record["metrics"][name] = metric_record(values["parent"], values["change"], m)
+            record["metrics"][name] = metric_record(values["parent"], values["change"], failed, m)
         report["workloads"][workload] = record
         report["summary"][workload] = {
             name: f"x{r['ratio_of_medians']:.3f} ({r['change_better_pairs']}/{args.pairs} pairs better): {r['verdict']}"
