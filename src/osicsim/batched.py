@@ -1,40 +1,36 @@
-"""Vectorized detection kernels for the Monte Carlo harness.
+"""Vectorized detection kernels: the package's one detection engine.
 
-Internal module. Each function works on a leading batch axis of
-independent channel instances, which is what makes desk-scale BER sweeps
-take seconds instead of hours. The scalar receiver in
-``linalg``/``detectors`` remains the public contract that tests compare
-these kernels against.
+Each function works on a leading batch axis of independent channel
+instances, which is what makes desk-scale BER sweeps take seconds instead
+of hours. The Gauss-Jordan inverse, :func:`inverse_batch`, belongs to
+``linalg`` and is re-exported here. The scalar receiver,
+``linalg.inverse`` and ``detectors.vblast_detect``, is a batch-of-one
+view of these kernels, kept for the benchmark's bindings and the tests of
+its contract; it has no loop of its own.
 
-The scalar and batched paths share one nulling formula for both cores:
-the regularized Gram inverse ``P = (H^H H + lambda I)^-1`` with lambda = 0
-for ZF and the noise variance for MMSE, ordering metric ``diag P`` and
-nulling matrix ``G = P H^H``. They also share one slicer,
-``modem.slice_indices``, which this module re-exports. :func:`nulling_batch`
-returns ``P`` itself rather than ``G``. There are two OSIC loops. The sweep
-engine's :func:`vblast_indices_batch` does not recompute like the scalar
-receiver does, but inverts once per vector and removes each detected
-stream from ``P`` by a rank-one Schur-complement downdate. The complexity
-benchmark's :func:`recompute_indices_batch` recomputes ``P`` and
-``G = P H^H`` on the compacted, deflated channel at every iteration, as
-the scalar receiver does, so its cost scales like the recomputing
-algorithm's. Both loops differ from the scalar path in rounding; tests
-pin them to it on detection orders and point indices, and pin each
-downdated ``P`` to the ``linalg.inverse`` residual bound against the
-freshly deflated Gram matrix wherever a fresh Gauss-Jordan inverse meets
-that bound itself (condition number below 1e6). Ties in the ordering go
-to the lowest original stream index in every path.
+Both cores share one nulling formula: the regularized Gram inverse
+``P = (H^H H + lambda I)^-1`` with lambda = 0 for ZF and the noise
+variance for MMSE, ordering metric ``diag P`` and nulling matrix
+``G = P H^H``. :func:`nulling_batch` returns ``P`` itself rather than
+``G``. Every path slices with ``modem.slice_indices``, which this module
+re-exports. There are two OSIC loops. The complexity benchmark's
+:func:`recompute_indices_batch` is the paper's receiver: it recomputes
+``P`` and ``G = P H^H`` on the compacted, deflated channel at every
+iteration, so its cost scales like the recomputing algorithm's. The sweep
+engine's :func:`vblast_indices_batch` inverts once per vector and removes
+each detected stream from ``P`` by a rank-one Schur-complement downdate.
+The two loops differ in rounding; tests pin them to each other on
+detection orders, point indices and validity, and pin each downdated
+``P`` to the ``linalg.inverse`` residual bound against the freshly
+deflated Gram matrix wherever a fresh Gauss-Jordan inverse meets that
+bound itself (condition number below 1e6). Ties in the ordering go to the
+lowest original stream index in both loops.
 
-:func:`inverse_batch` runs the scalar pivot rule in place on a batch-last
-``(n, n, batch)`` copy, with no augmented ``[A | I]``, so every slice of
-an elimination step is contiguous over the batch; every entry it returns
-takes the same floating-point operations as in ``linalg.inverse``, so the
-two agree exactly. It returns a ``(batch, n, n)`` view of that storage.
-The downdating loop keeps ``P`` and ``conj(H)`` at full size: a detected stream
-is downdated out of ``P`` in place, which leaves its row and column zero,
-and its ordering metric is masked with ``+inf``, so every stream keeps its
-original index. ``P`` and ``H^H`` are compacted to the surviving streams
-once, by boolean mask, before the final linear block.
+The downdating loop keeps ``P`` and ``conj(H)`` at full size: a detected
+stream is downdated out of ``P`` in place, which leaves its row and
+column zero, and its ordering metric is masked with ``+inf``, so every
+stream keeps its original index. ``P`` and ``H^H`` are compacted to the
+surviving streams once, by boolean mask, before the final linear block.
 
 Instead of raising on a rank-deficient instance, the batched routines
 return a boolean validity mask so the harness can redraw the offending
@@ -48,56 +44,10 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import SnrSpec
-from .linalg import PIVOT_RTOL
+from .linalg import inverse_batch
 from .modem import Constellation, slice_indices
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def inverse_batch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan inversion of a stack of square matrices.
-
-    Returns ``(inv, ok)`` where ``ok[b]`` is False for instances whose
-    pivot fell below the singularity threshold; their output is garbage
-    and must be discarded by the caller. ``inv`` is a ``(batch, n, n)``
-    view of batch-last storage.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    _, n, m = a.shape
-    if n != m:
-        raise ValueError(f"inverse requires square matrices, got {n}x{m}")
-    tol = PIVOT_RTOL * np.max(np.abs(a), axis=(1, 2))
-    ok = tol > 0.0
-
-    # Gauss-Jordan on a batch-last copy of ``a`` itself instead of the
-    # augmented ``[A | I]``: the augmented form never reads column k of ``A``
-    # after step k, and the identity column it fills at step k is zero
-    # outside row k, so column k of ``a`` stores that column of the inverse.
-    # Every stored entry takes the same floating-point operations as in the
-    # augmented form. The identity columns follow the row swaps, which the
-    # last loop undoes. With the batch axis last, every slice of a step is
-    # contiguous over the batch.
-    a = a.transpose(1, 2, 0).copy()
-    pivots = []
-    for k in range(n):
-        p = k + np.argmax(np.abs(a[k:, k]), axis=0)
-        swap = np.flatnonzero(p != k)
-        a[k, :, swap], a[p[swap], :, swap] = a[p[swap], :, swap], a[k, :, swap]
-        pivots.append((swap, p[swap]))
-        piv = a[k, k]
-        bad = np.abs(piv) < tol
-        ok &= ~bad
-        piv = np.where(ok, piv, 1.0)  # keep dead instances finite
-        col = a[:, k].copy()
-        col[k] = 0.0
-        a[:, k] = 0.0
-        a[k, k] = 1.0
-        a[k] /= piv
-        a -= col[:, None] * a[k]
-    for k in range(n - 1, -1, -1):  # row swaps of A are column swaps of A^-1
-        swap, p = pivots[k]
-        a[:, k, swap], a[:, p, swap] = a[:, p, swap], a[:, k, swap]
-    return a.transpose(2, 0, 1), ok
 
 
 def nulling_batch(h: np.ndarray, core: str, snr: SnrSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,8 +150,8 @@ def recompute_indices_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched truncated V-BLAST that recomputes the nulling matrix at every iteration.
 
-    The paper's receiver, as ``detectors.vblast_detect`` runs it on one
-    vector: each iteration inverts the Gram matrix of the compacted,
+    The paper's receiver; ``detectors.vblast_detect`` runs it on a batch
+    of one. Each iteration inverts the Gram matrix of the compacted,
     deflated channel afresh, so its cost scales the way the recomputing
     algorithm does. Returns ``(indices, orders, ok)`` as
     :func:`vblast_indices_batch` does; ``ok`` is False wherever any of the

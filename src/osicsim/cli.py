@@ -99,6 +99,9 @@ OPTIONS = {
 }
 DEFAULTS = {key: getattr(SweepConfig, o.field) if o.field else o.default for key, o in OPTIONS.items()}
 
+# an SNR range (start:stop:step) may hold at most this many points
+MAX_SNR_POINTS = 10_000
+
 _PLOT_PRESETS = {"iter-sweep": {4: "fig2", 8: "fig3", 16: "fig4"}, "calibrate": {8: "fig6a"}, "compare": {8: "fig7"}}
 
 
@@ -113,9 +116,14 @@ def _parse_snr_list(text: str) -> list[float]:
             raise click.UsageError(f"snr range bounds and step must be finite, got {text!r}")
         if step <= 0:
             raise click.UsageError("snr range step must be positive")
+        # start, start + step, ... summed step by step up to stop (within 1e-9);
+        # the count comes first, so no range builds more than MAX_SNR_POINTS
+        points = np.floor((stop + 1e-9 - start) / step) + 1
+        if points > MAX_SNR_POINTS:
+            raise click.UsageError(f"snr range {text!r} has {points:.15g} points, more than {MAX_SNR_POINTS}")
         out = []
         v = start
-        while v <= stop + 1e-9:
+        for _ in range(max(0, int(points))):
             out.append(round(v, 6))
             v += step
         return out
@@ -353,13 +361,16 @@ class Command(NamedTuple):
     help: str
 
 
+# the bench always runs in one process, so it alone does not read ``workers``
 COMMANDS = {
     "ber-sweep": Command(
-        _ber_sweep, ("detector", "policy", "iters", "calib"), "BER vs SNR for one detector configuration."
+        _ber_sweep, ("workers", "detector", "policy", "iters", "calib"), "BER vs SNR for one detector configuration."
     ),
-    "iter-sweep": Command(_iter_sweep, (), "BER vs SNR for every V-BLAST iteration count 0 .. nt-1."),
-    "calibrate": Command(_calibrate, (), "Measure the (SNR, N_i) BER grid and derive required iteration counts."),
-    "compare": Command(_compare, ("calib",), "Formula vs feedback vs ordinary V-BLAST on shared draws."),
+    "iter-sweep": Command(_iter_sweep, ("workers",), "BER vs SNR for every V-BLAST iteration count 0 .. nt-1."),
+    "calibrate": Command(
+        _calibrate, ("workers",), "Measure the (SNR, N_i) BER grid and derive required iteration counts."
+    ),
+    "compare": Command(_compare, ("workers", "calib"), "Formula vs feedback vs ordinary V-BLAST on shared draws."),
     "bench": Command(
         _bench, ("calib", "bench_detections"), "Average per-detection execution time of each detector variant."
     ),
@@ -411,12 +422,15 @@ def _register(name: str, command: Command) -> None:
         resolved["emit_plot"] = params["emit_plot"]
         _execute(name, resolved, Path(params["out"]))
 
+    # flags in OPTIONS order; --emit-plot follows the last common key
+    keys = [key for key in OPTIONS if key in _reads(name)]
+    split = 1 + max(map(keys.index, _COMMON_KEYS))
     options = [
         click.option("--config", type=click.Path(), default=None, help="Flat key = value config file."),
         click.option("--out", type=click.Path(), default=".", show_default=True, help="Output directory."),
-        *map(_flag, _COMMON_KEYS),
+        *map(_flag, keys[:split]),
         click.option("--emit-plot", is_flag=True, default=False, help="Also write a long-format plot data file."),
-        *map(_flag, command.extra),
+        *map(_flag, keys[split:]),
     ]
     for option in reversed(options):
         run = option(run)

@@ -25,12 +25,16 @@ deflated channel ``H_i``:
 Both detectors return constellation point indices, which equal the
 integer values of the Gray labels.
 
-Cancellation removes the detected column physically (with an index map
-back to original stream order) rather than zeroing it: a zeroed column
-would make the deflated Gram matrix singular. The nulling matrix is
-recomputed from scratch on every deflation; no rank-one update shortcuts
-are used, so measured cost scales the way the recomputing algorithm is
-specified to.
+The loop itself is ``batched.recompute_indices_batch``, the package's one
+recomputing OSIC loop: :func:`vblast_detect` runs it on a batch of one,
+and :func:`nulling_matrix` builds on ``linalg.inverse``, itself a
+batch-of-one view of ``linalg.inverse_batch``. Both names stay for the
+benchmark's bindings and the tests of their contract. Cancellation
+removes the detected column physically (with an index map back to
+original stream order) rather than zeroing it: a zeroed column would make
+the deflated Gram matrix singular. The nulling matrix is recomputed from
+scratch on every deflation; no rank-one update shortcuts are used, so
+measured cost scales the way the recomputing algorithm is specified to.
 """
 
 from __future__ import annotations
@@ -40,9 +44,10 @@ from itertools import product
 
 import numpy as np
 
+from .batched import recompute_indices_batch
 from .channel import SnrSpec
 from .linalg import RankDeficiencyError, SingularMatrixError, inverse
-from .modem import Constellation, slice_indices
+from .modem import Constellation
 
 NULLING_CORES = ("zf", "mmse")
 
@@ -107,35 +112,17 @@ def vblast_detect(h, y, spec: DetectorSpec, snr: SnrSpec, c: Constellation) -> D
     Returns a :class:`DetectionTrace` whose ``order`` lists the original
     indices of the successively detected streams and whose ``indices`` holds
     the detected point index of every stream, in original stream order.
+    Raises :class:`RankDeficiencyError` when a (regularized) Gram matrix
+    along the way is singular.
     """
     h = np.asarray(h, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128).ravel()
-    n_r, n_t = h.shape
-    if y.size != n_r:
-        raise ValueError(f"dimension mismatch: y has {y.size} entries, channel has {n_r} rows")
-    if spec.iterations > n_t - 1:
-        raise ValueError(f"iterations {spec.iterations} exceeds n_t - 1 = {n_t - 1}")
-
-    active = list(range(n_t))  # original indices of undetected streams, ascending
-    h_cur = h.copy()
-    y_cur = y.copy()
-    trace = DetectionTrace(indices=np.zeros(n_t, dtype=np.int64))
-
-    for _ in range(spec.iterations):
-        g, metric = nulling_matrix(h_cur, spec.core, snr)
-        j = int(np.argmin(metric))  # first minimum -> lowest original index on ties
-        k = active.pop(j)
-        i = slice_indices(g[j] @ y_cur, c)
-        trace.order.append(k)
-        trace.indices[k] = i
-        y_cur = y_cur - h_cur[:, j] * c.points[i]
-        h_cur = np.delete(h_cur, j, axis=1)
-
-    if active:
-        g, _ = nulling_matrix(h_cur, spec.core, snr)
-        trace.indices[active] = slice_indices(g @ y_cur, c)
-
-    return trace
+    if y.size != h.shape[0]:
+        raise ValueError(f"dimension mismatch: y has {y.size} entries, channel has {h.shape[0]} rows")
+    indices, orders, ok = recompute_indices_batch(h[None], y[None], spec.core, spec.iterations, snr, c)
+    if not ok[0]:
+        raise RankDeficiencyError("a regularized Gram matrix of the deflated channel is singular")
+    return DetectionTrace(order=orders[0].tolist(), indices=indices[0])
 
 
 def ml_candidates(n_t: int, c: Constellation) -> np.ndarray:

@@ -313,7 +313,8 @@ def _run_cells(cfg: SweepConfig, cells: list[_Cell]) -> list[BerPoint]:
         # imported here: the pool module loads multiprocessing and subprocess, which one worker never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # a fork pool starts all its workers at the first submit, so it gets no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(cells)) or 1) as pool:
             chunks = list(pool.map(_run_cell, [cfg] * len(cells), cells))
     return [point for chunk in chunks for point in chunk]
 

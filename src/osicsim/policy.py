@@ -25,10 +25,10 @@ the target from ``SweepConfig.target_ber``.
 vector: each candidate count runs a fresh truncated detection pass (the
 nulling/slicing/cancellation loop restarts, as the flowchart's re-entry
 implies), followed by one table lookup and branch. The detected output
-equals a single pass at the accepted count; only the cost differs. The
-complexity benchmark runs the same restarts on whole batches
-(``harness.bench_complexity``); this scalar receiver is the reference
-that tests compare it against.
+equals a single pass at the accepted count; only the cost differs. Each
+pass is ``detectors.vblast_detect``, the batched recomputing loop on a
+batch of one. The complexity benchmark runs the same restarts on whole
+batches (``harness.bench_complexity``).
 """
 
 from __future__ import annotations
@@ -270,8 +270,7 @@ def feedback_detect(
     count; the restarts exist to model (and be charged for) the feedback
     algorithm's repeated nulling/slicing/cancellation work, which is what
     makes it costlier than ordinary V-BLAST at low SNR. The batched bench
-    runs the same passes and lookups; this scalar form is the reference
-    that tests compare against.
+    runs the same passes and lookups on whole batches.
     """
     h = np.asarray(h, dtype=np.complex128)
     nmax = n_imax(h.shape[1])

@@ -1,8 +1,11 @@
-"""Equivalence of the batched Monte Carlo kernels with the scalar detectors.
+"""The batched detection kernels: one engine, two OSIC loops.
 
-The scalar implementations are the contract; every batched routine must
-reproduce them instance by instance (same ordering, same point indices).
-The OSIC loop inverts the Gram matrix once and downdates the full-size
+The scalar names ``linalg.inverse`` and ``detectors.vblast_detect`` are
+batch-of-one views of these kernels, so an instance's result must not
+depend on the batch around it. The sweep engine's downdating loop and the
+recomputing loop are different algorithms for the same receiver; they must
+agree on the whole batch (same validity, ordering and point indices). The
+downdating loop inverts the Gram matrix once and downdates the full-size
 inverse in place per detected stream, so its own accuracy is checked
 against freshly deflated Gram matrices.
 """
@@ -37,6 +40,18 @@ def random_batch(seed, batch, n_r, n_t, snr, c):
     noise = gen_noise_batch(batch, n_r, snr.noise_var, rng)
     y = transmit_batch(h, x, noise)
     return h, idx, x, y
+
+
+def assert_loops_agree(h, y, core, iters, snr, c):
+    """The downdating and the recomputing loop agree on the whole batch: the
+    same validity mask, and the same orders and indices wherever it is set.
+    Returns the mask."""
+    idx, orders, ok = vblast_indices_batch(h, y, core, iters, snr, c)
+    ref_idx, ref_orders, ref_ok = recompute_indices_batch(h, y, core, iters, snr, c)
+    assert np.array_equal(ok, ref_ok), (core, iters)
+    assert np.array_equal(orders[ok], ref_orders[ok]), (core, iters)
+    assert np.array_equal(idx[ok], ref_idx[ok]), (core, iters)
+    return ok
 
 
 def downdate_reference(p, j):
@@ -85,8 +100,9 @@ class TestInverseBatch:
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("kind", ["gram", "general"])
     def test_equals_scalar_exactly(self, n, kind):
-        """Same pivot rule, same floating-point operations per entry: equal
-        values, on instances with and without row swaps, next to dead ones."""
+        """An instance's inverse does not depend on its batch: ``inverse``, a
+        batch of one, gives equal values, on instances with and without row
+        swaps, next to dead ones."""
         a = gen_channel_batch(64, n, n, make_stream(70 + n, 0))
         if kind == "gram":
             a = a.conj().transpose(0, 2, 1) @ a
@@ -130,17 +146,14 @@ class TestSliceIndices:
 
 
 class TestLinearBatch:
-    """Linear detection is V-BLAST with zero iterations, in both paths."""
+    """Linear detection is V-BLAST with zero iterations, in both loops."""
 
     @pytest.mark.parametrize("core", ["zf", "mmse"])
     @pytest.mark.parametrize("c", [QPSK, QAM16], ids=["qpsk", "qam16"])
     def test_matches_scalar(self, core, c):
         snr = SnrSpec(12.0)
         h, _, _, y = random_batch(60, 128, 4, 4, snr, c)
-        idx, _, ok = vblast_indices_batch(h, y, core, 0, snr, c)
-        assert ok.all()
-        for b in range(128):
-            assert np.array_equal(idx[b], vblast_detect(h[b], y[b], DetectorSpec(core, 0), snr, c).indices)
+        assert assert_loops_agree(h, y, core, 0, snr, c).all()
 
 
 class TestVblastBatch:
@@ -149,35 +162,19 @@ class TestVblastBatch:
     def test_matches_scalar_8x8(self, core, iters):
         snr = SnrSpec(18.0)
         h, _, _, y = random_batch(61, 48, 8, 8, snr, QAM16)
-        idx, orders, ok = vblast_indices_batch(h, y, core, iters, snr, QAM16)
-        assert ok.all()
-        for b in range(48):
-            trace = vblast_detect(h[b], y[b], DetectorSpec(core, iters), snr, QAM16)
-            assert list(orders[b]) == trace.order, (core, iters, b)
-            assert np.array_equal(idx[b], trace.indices), (core, iters, b)
+        assert assert_loops_agree(h, y, core, iters, snr, QAM16).all()
 
     def test_matches_scalar_rectangular(self):
         snr = SnrSpec(10.0)
         h, _, _, y = random_batch(62, 32, 6, 4, snr, QPSK)
-        idx, orders, ok = vblast_indices_batch(h, y, "mmse", 2, snr, QPSK)
-        assert ok.all()
-        for b in range(32):
-            trace = vblast_detect(h[b], y[b], DetectorSpec("mmse", 2), snr, QPSK)
-            assert list(orders[b]) == trace.order
-            assert np.array_equal(idx[b], trace.indices)
+        assert assert_loops_agree(h, y, "mmse", 2, snr, QPSK).all()
 
     def test_singular_instance_flagged_not_fatal(self):
         snr = SnrSpec(15.0)
         h, _, _, y = random_batch(63, 16, 4, 4, snr, QPSK)
         h[7, :, 1] = h[7, :, 0]
-        idx, _, ok = vblast_indices_batch(h, y, "zf", 2, snr, QPSK)
-        assert not ok[7]
-        assert ok[[b for b in range(16) if b != 7]].all()
-        for b in range(16):
-            if b == 7:
-                continue
-            trace = vblast_detect(h[b], y[b], DetectorSpec("zf", 2), snr, QPSK)
-            assert np.array_equal(idx[b], trace.indices)
+        ok = assert_loops_agree(h, y, "zf", 2, snr, QPSK)
+        assert ok.tolist() == [b != 7 for b in range(16)]
 
     @pytest.mark.parametrize("core", ["zf", "mmse"])
     def test_one_inversion_per_vector(self, core, monkeypatch):
@@ -200,17 +197,10 @@ class TestVblastBatch:
         snr = SnrSpec(snr_db)
         h, _, _, y = random_batch(67, 16, 4, 4, snr, QPSK)
         h[7, :, 3] = h[7, :, 2]  # duplicated column in the last stream
-        idx, orders, ok = vblast_indices_batch(h, y, core, 3, snr, QPSK)
-        assert not ok[7]
-        assert ok[[b for b in range(16) if b != 7]].all()
+        ok = assert_loops_agree(h, y, core, 3, snr, QPSK)
+        assert ok.tolist() == [b != 7 for b in range(16)]
         with pytest.raises(RankDeficiencyError):
             vblast_detect(h[7], y[7], DetectorSpec(core, 3), snr, QPSK)
-        for b in range(16):
-            if b == 7:
-                continue
-            trace = vblast_detect(h[b], y[b], DetectorSpec(core, 3), snr, QPSK)
-            assert list(orders[b]) == trace.order
-            assert np.array_equal(idx[b], trace.indices)
 
 
 
@@ -222,24 +212,15 @@ class TestRecomputeBatch:
             snr = SnrSpec(snr_db)
             h, _, _, y = random_batch(70 + seed, 12, n_r, n_t, snr, c)
             for iters in range(n_t):
-                idx, orders, ok = recompute_indices_batch(h, y, core, iters, snr, c)
-                assert ok.all()
-                for b in range(12):
-                    trace = vblast_detect(h[b], y[b], DetectorSpec(core, iters), snr, c)
-                    assert list(orders[b]) == trace.order, (snr_db, iters, b)
-                    assert np.array_equal(idx[b], trace.indices), (snr_db, iters, b)
+                assert assert_loops_agree(h, y, core, iters, snr, c).all(), snr_db
 
     @pytest.mark.parametrize("iters", [0, 2])
     def test_zero_column_flagged_not_fatal(self, iters):
         snr = SnrSpec(15.0)
         h, _, _, y = random_batch(74, 16, 4, 4, snr, QPSK)
         h[5, :, 2] = 0.0
-        idx, _, ok = recompute_indices_batch(h, y, "zf", iters, snr, QPSK)
-        assert not ok[5]
-        assert ok[[b for b in range(16) if b != 5]].all()
-        for b in range(16):
-            if b != 5:
-                assert np.array_equal(idx[b], vblast_detect(h[b], y[b], DetectorSpec("zf", iters), snr, QPSK).indices)
+        ok = assert_loops_agree(h, y, "zf", iters, snr, QPSK)
+        assert ok.tolist() == [b != 5 for b in range(16)]
 
     def test_inverts_the_deflated_channel_at_every_iteration(self, monkeypatch):
         shapes = []

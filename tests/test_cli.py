@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -100,6 +103,18 @@ class TestValidation:
         assert res.exit_code != 0
         key = line.split(" =")[0]
         assert f"iter-sweep does not read config key {key!r}" in res.output
+        assert not (tmp_path / "o").exists()
+
+    def test_bench_reads_no_workers_key(self, tmp_path):
+        # the bench always runs in one process: a worker count would be recorded, never used
+        res = CliRunner().invoke(main, ["bench", *FAST, "--workers", "4", "--out", str(tmp_path / "o")])
+        assert res.exit_code != 0
+        assert "--workers" in res.output
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 4\n")
+        res = CliRunner().invoke(main, ["bench", *FAST, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code != 0
+        assert "bench does not read config key 'workers'" in res.output
         assert not (tmp_path / "o").exists()
 
     def test_bad_config_value_type(self, tmp_path):
@@ -404,6 +419,25 @@ class TestBoundaryValues:
         assert res.exit_code != 0
         assert "must be finite" in res.output
 
+    @pytest.mark.parametrize("snr", ["0:1:1e-300", "0:1:1e-7"])
+    def test_snr_range_point_count_is_bounded(self, tmp_path, snr):
+        # in a child process with a timeout and a 1 GiB address-space cap, so that
+        # a parser which builds the range before counting it fails here instead
+        # of hanging the suite or filling the memory
+        code = (
+            "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "runpy.run_module('osicsim.cli', run_name='__main__')"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        res = subprocess.run(
+            [sys.executable, "-c", code, "ber-sweep", f"--snr={snr}", "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+        assert res.returncode != 0
+        assert f"points, more than {cli.MAX_SNR_POINTS}" in res.stderr
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
     def test_formula_eval_rejects_non_finite_snr(self, snr):
         res = CliRunner().invoke(main, ["formula-eval", f"--snr={snr}"])
@@ -460,7 +494,7 @@ class TestBoundaryInputs:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "command, key, value", [("iter-sweep", "policy", "feedback"), ("bench", "iters", 3)]
+        "command, key, value", [("iter-sweep", "policy", "feedback"), ("bench", "iters", 3), ("bench", "workers", 4)]
     )
     def test_rerun_refuses_key_the_command_does_not_read(self, tmp_path, valid_manifest, command, key, value):
         data = json.loads(json.dumps(valid_manifest))

@@ -8,7 +8,7 @@ exhaustive ML search, and numpy's own pinv for the high-SNR limit.
 import numpy as np
 import pytest
 
-from osicsim.batched import count_bit_errors, ml_indices_batch
+from osicsim.batched import count_bit_errors, ml_indices_batch, recompute_indices_batch
 from osicsim.channel import SnrSpec, gen_channel_batch, gen_noise_batch, make_stream
 from osicsim.detectors import (
     DetectorSpec,
@@ -26,6 +26,23 @@ IDX_00_11 = np.array([0, 3])
 
 def rand_indices(rng, n, c):
     return rng.integers(0, len(c.points), n)
+
+
+def draw_one_at_a_time(stream_seed, bit_seed, n_vec, n, snr):
+    """``n_vec`` n x n QPSK transmissions, drawn one vector at a time (channel
+    and noise from one stream, point indices from a second generator) and
+    stacked for one batched detection."""
+    rng = make_stream(stream_seed, 0)
+    bit_rng = np.random.default_rng(bit_seed)
+    hs, ys, idxs = [], [], []
+    for _ in range(n_vec):
+        h = gen_channel_batch(1, n, n, rng)[0]
+        noise = gen_noise_batch(1, n, snr.noise_var, rng)[0]
+        idx = bit_rng.integers(0, 4, n)
+        hs.append(h)
+        ys.append(h @ QPSK.points[idx] + noise)
+        idxs.append(idx)
+    return np.stack(hs), np.stack(ys), np.stack(idxs)
 
 
 def ml_search(h, y, c):
@@ -200,24 +217,17 @@ class TestVblastDetect:
             DetectorSpec("zf", -1)
 
     def test_monotone_quality_in_iterations(self):
-        # shared draws across iteration counts; BER non-increasing within slack
-        rng = make_stream(34, 0)
+        # shared draws across iteration counts; BER non-increasing within slack.
+        # The engine behind vblast_detect detects them in one batch per count.
         snr = SnrSpec(12.0)
         n_vec = 6500  # >= 1e5 symbols guaranteed at 4 streams each... 26000 symbols
-        bit_rng = np.random.default_rng(40)
+        h, y, idx = draw_one_at_a_time(34, 40, n_vec, 4, snr)
         errors = np.zeros(4, dtype=np.int64)
-        total = 0
-        for _ in range(n_vec):
-            h = gen_channel_batch(1, 4, 4, rng)[0]
-            noise = gen_noise_batch(1, 4, snr.noise_var, rng)[0]
-            idx = bit_rng.integers(0, 4, 4)
-            x = QPSK.points[idx]
-            y = h @ x + noise
-            for n_i in range(4):
-                trace = vblast_detect(h, y, DetectorSpec("mmse", n_i), snr, QPSK)
-                errors[n_i] += count_bit_errors(idx, trace.indices)
-            total += 8
-        ber = errors / total
+        for n_i in range(4):
+            rx_idx, _, ok = recompute_indices_batch(h, y, "mmse", n_i, snr, QPSK)
+            assert ok.all()
+            errors[n_i] = count_bit_errors(idx, rx_idx)
+        ber = errors / (8 * n_vec)
         for n_i in range(3):
             assert ber[n_i + 1] <= ber[n_i] * 1.15, ber
 
@@ -259,24 +269,14 @@ class TestMlDetect:
 
 class TestOracleDominance:
     def test_ml_beats_vblast_beats_linear(self):
-        # small matched run; the full-scale version lives in the acceptance suite
-        rng = make_stream(35, 0)
+        # small matched run; the full-scale version lives in the acceptance suite.
+        # Each detector detects the 4000 shared draws in one batch.
         snr = SnrSpec(12.0)
-        n_vec = 4000
-        bit_rng = np.random.default_rng(55)
-        err = {"ml": 0, "vblast": 0, "linear": 0}
-        for _ in range(n_vec):
-            h = gen_channel_batch(1, 2, 2, rng)[0]
-            noise = gen_noise_batch(1, 2, snr.noise_var, rng)[0]
-            idx = bit_rng.integers(0, 4, 2)
-            x = QPSK.points[idx]
-            y = h @ x + noise
-            outs = {
-                "ml": ml_search(h, y, QPSK),
-                "vblast": vblast_detect(h, y, DetectorSpec("zf", 1), snr, QPSK).indices,
-                "linear": vblast_detect(h, y, DetectorSpec("zf", 0), snr, QPSK).indices,
-            }
-            for name, rx_idx in outs.items():
-                err[name] += count_bit_errors(idx, rx_idx)
+        h, y, idx = draw_one_at_a_time(35, 55, 4000, 2, snr)
+        err = {"ml": count_bit_errors(idx, ml_indices_batch(h, y, ml_candidates(2, QPSK), QPSK))}
+        for name, n_i in (("vblast", 1), ("linear", 0)):
+            rx_idx, _, ok = recompute_indices_batch(h, y, "zf", n_i, snr, QPSK)
+            assert ok.all()
+            err[name] = count_bit_errors(idx, rx_idx)
         assert err["ml"] <= err["vblast"] * 1.10
         assert err["vblast"] <= err["linear"] * 1.10

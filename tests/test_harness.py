@@ -589,6 +589,37 @@ class TestWhatARunLoads:
             assert child_rss == "0"
 
 
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+        # a fork pool starts all of its workers at the first submit; this stub
+        # records the size asked for and runs the cells here, starting nothing
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        counts = {}
+        for workers in (1, 2, 8, 5000):
+            pts = run_ber_sweep(small_cfg(snr_db_list=(8.0, 12.0), workers=workers), (1,))
+            counts[workers] = [(p.snr_db, p.bit_errors, p.total_bits) for p in pts]
+        assert sizes == [2, 2, 2]  # two cells; one worker runs them inline
+        assert counts[1] == counts[2] == counts[8] == counts[5000]
+        run_ber_sweep(small_cfg(workers=2), (1,))
+        assert sizes[-1] == 1  # a pool still starts for one cell when workers > 1
+
+
 class TestMachineNote:
     @pytest.mark.skipif(_cpuinfo_model() is None, reason="no model name in /proc/cpuinfo")
     def test_cpuinfo_model_needs_no_processor_call(self, monkeypatch):

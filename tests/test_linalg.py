@@ -93,8 +93,8 @@ class TestInverse:
     )
     def test_residual_property_below_condition_1e6(self, seed, n, log_cond, log_scale):
         """The documented tolerance on random complex matrices ``U diag(s) V^H``
-        of condition number below 1e6 and any scale, for both
-        implementations; the batched one equals the scalar one exactly."""
+        of condition number below 1e6 and any scale, inverted as a batch and
+        one at a time (``inverse``, a batch of one), which agree exactly."""
         rng = np.random.default_rng(seed)
         s = 10.0**log_scale * np.geomspace(1.0, 10.0**-log_cond, n)
         a = np.stack([(unitary(rng, n) * s) @ unitary(rng, n).conj().T for _ in range(4)])
