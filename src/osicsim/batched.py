@@ -113,6 +113,8 @@ def vblast_indices_batch(
     h = np.asarray(h, dtype=np.complex128)
     y = np.array(y, dtype=np.complex128)  # a copy: cancelled in place
     batch, n_r, n_t = h.shape
+    if iterations < 0:
+        raise ValueError(f"iterations {iterations} is negative")
     if iterations > n_t - 1:
         raise ValueError(f"iterations {iterations} exceeds n_t - 1 = {n_t - 1}")
 
@@ -160,6 +162,8 @@ def recompute_indices_batch(
     h = np.asarray(h, dtype=np.complex128)
     y = np.array(y, dtype=np.complex128)  # a copy: cancelled in place
     batch, n_r, n_t = h.shape
+    if iterations < 0:
+        raise ValueError(f"iterations {iterations} is negative")
     if iterations > n_t - 1:
         raise ValueError(f"iterations {iterations} exceeds n_t - 1 = {n_t - 1}")
 

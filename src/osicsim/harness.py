@@ -45,6 +45,15 @@ The feedback variant runs a full pass at each candidate depth
 ``m = 1, 2, ...`` with one table lookup after each pass, and therefore
 pays for its restarts. Benchmarking always runs single-worker to keep
 the timer quiet.
+
+Memory
+------
+Importing this module raises glibc's mmap and trim thresholds for the
+whole process, pool workers included, so the megabyte-sized arrays a
+batch frees stay in the heap and the next batch reuses their pages
+instead of faulting in fresh ones. The price is that the process's
+resident memory stays at its high-water mark until it exits. On any libc
+other than glibc nothing changes.
 """
 
 from __future__ import annotations
@@ -77,6 +86,31 @@ from .policy import CalibrationTable, estimate_snr, feedback_iters, formula_iter
 # they resolve, until the benchmark's per-layer metrics stop reading them.
 from .detectors import vblast_detect  # noqa: F401
 from .policy import feedback_detect  # noqa: F401
+
+# By default glibc serves every block of 128 KiB or more by a fresh mmap
+# and unmaps it at free, and trims the heap top past 128 KiB, so each batch
+# faulted in about a thousand fresh zeroed pages (8x8, 1024 vectors).
+# Raising both thresholds keeps freed batch arrays in the heap, where the
+# next batch reuses them. Either alone still faults: without the trim bound
+# the heap top is handed back, and without the mmap bound large blocks
+# never enter the heap.
+_MMAP_THRESHOLD = 32 * 2**20  # glibc's largest on 64-bit
+_TRIM_THRESHOLD = 128 * 2**20
+
+
+def _keep_freed_memory() -> None:
+    """Raise glibc's mmap and trim thresholds for this process; a no-op on any other libc."""
+    import ctypes
+
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "gnu_get_libc_version"):  # the parameter numbers below are glibc's
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt.restype = ctypes.c_int
+        libc.mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
 
 # target number of vector instances per engine batch; the draw layout is a
 # whole number of channel uses (K vectors each), so the realized size is

@@ -202,6 +202,12 @@ class TestVblastBatch:
         with pytest.raises(RankDeficiencyError):
             vblast_detect(h[7], y[7], DetectorSpec(core, 3), snr, QPSK)
 
+    def test_refuses_negative_iterations(self):
+        snr = SnrSpec(15.0)
+        h, _, _, y = random_batch(68, 4, 4, 4, snr, QPSK)
+        with pytest.raises(ValueError, match="iterations -1 is negative"):
+            vblast_indices_batch(h, y, "mmse", -1, snr, QPSK)
+
 
 
 class TestRecomputeBatch:
@@ -234,6 +240,12 @@ class TestRecomputeBatch:
         h, _, _, y = random_batch(75, 48, 8, 8, snr, QAM16)
         recompute_indices_batch(h, y, "mmse", 4, snr, QAM16)
         assert shapes == [(48, n, n) for n in (8, 7, 6, 5, 4)]
+
+    def test_refuses_negative_iterations(self):
+        snr = SnrSpec(15.0)
+        h, _, _, y = random_batch(76, 4, 4, 4, snr, QPSK)
+        with pytest.raises(ValueError, match="iterations -1 is negative"):
+            recompute_indices_batch(h, y, "mmse", -1, snr, QPSK)
 
 def survivors(p, alive):
     """The rows and columns of the full-size ``p`` that ``alive`` keeps, compacted."""

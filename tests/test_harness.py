@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: sweeps, calibration, compare, bench."""
 
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -618,6 +619,53 @@ class TestWhatARunLoads:
         assert counts[1] == counts[2] == counts[8] == counts[5000]
         run_ber_sweep(small_cfg(workers=2), (1,))
         assert sizes[-1] == 1  # a pool still starts for one cell when workers > 1
+
+
+class TestFreedMemory:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator settings are glibc's")
+    def test_batches_reuse_freed_pages(self):
+        # with glibc's default thresholds each such batch faulted in about
+        # 1,150 fresh pages (its megabyte-sized arrays were unmapped at free)
+        code = textwrap.dedent(
+            """
+            import resource
+            from osicsim.batched import vblast_indices_batch
+            from osicsim.channel import link_snr, make_stream
+            from osicsim.harness import SweepConfig, _draw
+            from osicsim.modem import QAM16
+
+            cfg = SweepConfig()
+            link = link_snr(30.0, cfg.n_t)
+            rng = make_stream(1, 1)
+
+            def batch():
+                h, _, _, y = _draw(cfg, QAM16, 1024, link.noise_var, rng)
+                vblast_indices_batch(h, y, "mmse", 7, link, QAM16)
+
+            batch()
+            batch()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(4):
+                batch()
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 4)
+            """
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 200
+
+    def test_other_libc_is_left_alone(self, monkeypatch):
+        import ctypes
+
+        class OtherLibc:  # no gnu_get_libc_version; reaching for mallopt raises AttributeError
+            pass
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: OtherLibc())
+        harness._keep_freed_memory()
 
 
 class TestMachineNote:

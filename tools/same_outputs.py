@@ -19,8 +19,10 @@ Usage, from the repository root:
 
     python3 tools/same_outputs.py OLD_SRC NEW_SRC
 
-Prints each difference and exits 1 if there is any, else prints a
-summary and exits 0. A full check takes about 30 s on two cores.
+Prints each difference, then on every exit a summary of what it
+compared: runs, files, reruns and help texts, so a run that stopped early
+shows. Exits 1 if there is any difference, else 0. A full check takes
+about 30 s on two cores.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / TABLE).write_text(TABLE_TEXT)
-        compared = 0
+        runs = files = reruns = 0
         for args in HELP:
             label = " ".join(["osicsim", *args, "--help"])
             old, new = (cli(src, [*args, "--help"]) for src in (old_src, new_src))
@@ -129,19 +131,21 @@ def main(argv: list[str]) -> int:
                     continue
                 expected = outputs(dirs["old"])
                 problems += diff(label, expected, outputs(dirs["new"]))
+                runs += 1
+                files += len(expected)
                 manifest = next(dirs["old"].glob("*_manifest.json"))
                 res = cli(new_src, ["rerun", str(manifest), "--out", str(dirs["rerun"])])
                 if res.returncode != 0:
                     problems.append(f"{label}: rerun of the old manifest failed: {res.stderr.strip()}")
                 else:
                     problems += diff(f"{label} (rerun of the old manifest)", expected, outputs(dirs["rerun"]))
-                compared += len(expected)
+                    reruns += 1
     for line in problems:
         print(line)
-    if problems:
-        return 1
-    print(f"same outputs: {len(RUNS)} runs x {len(SEEDS)} seeds ({compared} files, each also rerun), {len(HELP)} help texts")
-    return 0
+    verdict = f"differences found: {len(problems)}" if problems else "same outputs"
+    print(f"{verdict}; compared {runs} of {len(RUNS) * len(SEEDS)} runs ({len(RUNS)} runs x {len(SEEDS)} seeds), "
+          f"{files} files, {reruns} reruns and {len(HELP)} help texts")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
