@@ -4,11 +4,14 @@ Each function works on a leading batch axis of independent channel
 instances, which is what makes desk-scale BER sweeps take seconds instead
 of hours. The Gauss-Jordan inverse, :func:`inverse_batch`, belongs to
 ``linalg`` and is re-exported here. The scalar receiver,
-``linalg.inverse`` and ``detectors.vblast_detect``, is a batch-of-one
-view of these kernels, kept for the benchmark's bindings and the tests of
-its contract; it has no loop of its own.
+``linalg.inverse``, ``detectors.nulling_matrix`` and
+``detectors.vblast_detect``, is a batch-of-one view of these kernels,
+kept for the benchmark's bindings and the tests of its contract; it has
+no loop of its own. The feedback receiver, ``policy.feedback_detect``,
+restarts :func:`recompute_indices_batch` once per candidate count.
 
-Both cores share one nulling formula: the regularized Gram inverse
+Both cores share one nulling formula, written once in
+:func:`nulling_batch`: the regularized Gram inverse
 ``P = (H^H H + lambda I)^-1`` with lambda = 0 for ZF and the noise
 variance for MMSE, ordering metric ``diag P`` and nulling matrix
 ``G = P H^H``. :func:`nulling_batch` returns ``P`` itself rather than
@@ -51,11 +54,12 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
 def nulling_batch(h: np.ndarray, core: str, snr: SnrSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched regularized Gram inverse and ordering metric; see ``detectors.nulling_matrix``.
+    """Batched regularized Gram inverse and ordering metric.
 
     Returns ``(P, diag P, ok)`` with ``P = (H^H H + lambda I)^-1``
     (lambda = 0 for ZF, the noise variance for MMSE); the nulling matrix
-    is ``G = P H^H``.
+    is ``G = P H^H``. ``detectors.nulling_matrix`` is this on a batch of
+    one.
     """
     if core not in ("zf", "mmse"):
         raise ValueError(f"unknown nulling core {core!r}")
@@ -153,9 +157,10 @@ def recompute_indices_batch(
     """Batched truncated V-BLAST that recomputes the nulling matrix at every iteration.
 
     The paper's receiver; ``detectors.vblast_detect`` runs it on a batch
-    of one. Each iteration inverts the Gram matrix of the compacted,
-    deflated channel afresh, so its cost scales the way the recomputing
-    algorithm does. Returns ``(indices, orders, ok)`` as
+    of one and ``policy.feedback_detect`` once per candidate count. Each
+    iteration inverts the Gram matrix of the compacted, deflated channel
+    afresh, so its cost scales the way the recomputing algorithm does.
+    Returns ``(indices, orders, ok)`` as
     :func:`vblast_indices_batch` does; ``ok`` is False wherever any of the
     inversions met a vanishing pivot.
     """

@@ -309,6 +309,10 @@ def _ber_sweep(resolved: dict) -> Result:
                 raise click.UsageError(
                     f"--{flag} sets the depth of --detector vblast; it cannot go with --detector {detector}"
                 )
+        if resolved["core"] not in (DEFAULTS["core"], detector):
+            raise click.UsageError(
+                f"--core {resolved['core']} cannot go with --detector {detector}: a linear run nulls with its detector"
+            )
         # a linear run nulls with the detector itself, so its CSV header names that core
         cfg = _sweep_config({**resolved, "core": detector})
         return _ber_result("ber-sweep", cfg, run_linear_sweep(cfg, detector))

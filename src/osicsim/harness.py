@@ -41,10 +41,10 @@ deflated channel afresh at every iteration, as the paper's receiver does;
 the sweep engine's downdating loop would hide the cost of deeper
 truncation. Each (variant, SNR) cell keeps the fastest of
 ``BENCH_REPEATS`` timings of one batch and divides it by the batch size.
-The feedback variant runs a full pass at each candidate depth
-``m = 1, 2, ...`` with one table lookup after each pass, and therefore
-pays for its restarts. Benchmarking always runs single-worker to keep
-the timer quiet.
+The feedback variant is ``policy.feedback_detect``, which runs a full
+pass at each candidate depth ``m = 1, 2, ...`` with one table lookup
+after each pass, and therefore pays for its restarts. Benchmarking always
+runs single-worker to keep the timer quiet.
 
 Memory
 ------
@@ -79,13 +79,12 @@ from .channel import (
 from .detectors import NULLING_CORES
 from .linalg import RankDeficiencyError
 from .modem import Constellation, bits_to_indices, get_constellation
-from .policy import CalibrationTable, estimate_snr, feedback_iters, formula_iters, n_imax
+from .policy import CalibrationTable, estimate_snr, feedback_detect, feedback_iters, formula_iters, n_imax
 
-# Unused here: the benchmark's tracer wraps these two bindings of this
-# module by name, and ``bench/selftest.py`` and the binding test check that
-# they resolve, until the benchmark's per-layer metrics stop reading them.
+# Unused here: the benchmark's tracer wraps this module's ``vblast_detect``
+# binding (span ``detectors.vblast_detect``) until its per-layer metrics
+# stop reading it.
 from .detectors import vblast_detect  # noqa: F401
-from .policy import feedback_detect  # noqa: F401
 
 # By default glibc serves every block of 128 KiB or more by a fresh mmap
 # and unmaps it at free, and trims the heap top past 128 KiB, so each batch
@@ -389,7 +388,8 @@ def _resolve_depths(cfg: SweepConfig, depths: tuple, table: CalibrationTable | N
     Checks ``cfg`` and ``depths`` first: a count must be an integer, not
     a bool, in ``[0, n_t - 1]``, a name must be one ``_iterations``
     resolves, and ``feedback`` needs a ``table`` made for this system. A
-    count is tagged ``fixed``, a name with itself.
+    count is tagged ``fixed``, a name with itself. A point's SNR estimate
+    is made only where a policy reads it; ``est_db`` is None elsewhere.
     """
     cfg.validate()
     for d in depths:
@@ -404,9 +404,10 @@ def _resolve_depths(cfg: SweepConfig, depths: tuple, table: CalibrationTable | N
         if table is None:
             raise ConfigError("feedback policy requires a calibration table")
         table.validate_for(cfg.modulation, cfg.n_t, cfg.core)
+    reads_estimate = any(d in POLICIES for d in depths)
     points = []
     for pi, snr_db in enumerate(cfg.snr_db_list):
-        est_db = _point_estimate(cfg, snr_db, pi)
+        est_db = _point_estimate(cfg, snr_db, pi) if reads_estimate else None
         variants = tuple(
             _Variant(d if isinstance(d, str) else "fixed", _iterations(d, cfg, est_db, table)) for d in depths
         )
@@ -426,7 +427,7 @@ def run_ber_sweep(cfg: SweepConfig, depths=None, *, table: CalibrationTable | No
     before any cell is dispatched (``ordinary``, ``fixed_nimax``,
     ``formula``, or ``feedback``, which needs ``table``), tagged with that
     name; ``None`` runs ``n_t - 1``. A pure linear run tagged
-    ``zf``/``mmse`` is ``run_linear_sweep``.
+    ``zf``/``mmse`` is ``run_linear_sweep``, which runs depth ``0`` here.
     Deterministic given (seed, config, depths); the worker count never
     changes counts, only wall-clock.
     """
@@ -439,15 +440,12 @@ def run_ber_sweep(cfg: SweepConfig, depths=None, *, table: CalibrationTable | No
 
 
 def run_linear_sweep(cfg: SweepConfig, detector: str) -> list[BerPoint]:
-    """BER sweep of a pure linear detector (``zf`` or ``mmse``), whatever ``cfg.core`` says."""
-    cfg.validate()
-    if detector not in NULLING_CORES:
-        raise ConfigError(f"unknown linear detector {detector!r}")
-    cells = [
-        _Cell(snr_db, i + 1, (_Variant(detector, 0),))
-        for i, snr_db in enumerate(cfg.snr_db_list)
-    ]
-    return _run_cells(replace(cfg, core=detector), cells)
+    """BER sweep of a pure linear detector (``zf`` or ``mmse``), whatever ``cfg.core`` says.
+
+    :func:`run_ber_sweep` at depth ``0`` with ``detector`` as the core, its
+    points tagged ``detector``.
+    """
+    return [replace(p, policy=detector) for p in run_ber_sweep(replace(cfg, core=detector), (0,))]
 
 
 def calibrate(cfg: SweepConfig):
@@ -554,13 +552,10 @@ def bench_complexity(cfg: SweepConfig, table: CalibrationTable) -> BenchReport:
 
             def detect(hb, yb):
                 """Indices and validity of one batch; feedback restarts a pass per candidate depth."""
-                if v.tag != "feedback":
+                if v.tag == "feedback":
+                    indices, ok, _ = feedback_detect(hb, yb, cfg.core, link, c, table, cfg.target_ber, est_db)
+                else:
                     indices, _, ok = recompute_indices_batch(hb, yb, cfg.core, v.n_i, link, c)
-                    return indices, ok
-                for m in range(1, n_imax(cfg.n_t) + 1):
-                    indices, _, ok = recompute_indices_batch(hb, yb, cfg.core, m, link, c)
-                    if table.meets_target(est_db, m, cfg.target_ber):
-                        break
                 return indices, ok
 
             _, ok_warm = detect(h[:warm], y[:warm])

@@ -18,9 +18,10 @@ Tolerances that are part of the public contract:
   further out: the residual carries rounding error that grows like
   ``eps * cond``, which is already 2.2e-8 at cond 1e8.
 * the ZF nulling matrix ``G = (A^H A)^-1 A^H`` that
-  ``detectors.nulling_matrix`` builds on ``inverse`` is the Moore-Penrose
-  pseudo-inverse of a full-column-rank ``A``: all four Penrose residuals
-  stay below 1e-8 (relative).
+  ``batched.nulling_batch`` builds on ``inverse_batch`` (and
+  ``detectors.nulling_matrix`` returns for one channel) is the
+  Moore-Penrose pseudo-inverse of a full-column-rank ``A``: all four
+  Penrose residuals stay below 1e-8 (relative).
 * singularity: a pivot whose magnitude falls below ``1e-12`` times the
   largest-magnitude entry of the input raises :class:`SingularMatrixError`.
 """

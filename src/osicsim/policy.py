@@ -21,26 +21,29 @@ plain arguments; the harness resolves every detection depth of a run in
 one place (``harness._iterations``), once per SNR operating point, with
 the target from ``SweepConfig.target_ber``.
 
-``feedback_detect`` models the feedback receiver's cost structure on one
-vector: each candidate count runs a fresh truncated detection pass (the
-nulling/slicing/cancellation loop restarts, as the flowchart's re-entry
-implies), followed by one table lookup and branch. The detected output
-equals a single pass at the accepted count; only the cost differs. Each
-pass is ``detectors.vblast_detect``, the batched recomputing loop on a
-batch of one. The complexity benchmark runs the same restarts on whole
-batches (``harness.bench_complexity``).
+``feedback_detect`` is the feedback receiver on a batch of vectors: each
+candidate count runs a fresh truncated detection pass
+(``batched.recompute_indices_batch``; the nulling/slicing/cancellation
+loop restarts, as the flowchart's re-entry implies), followed by one
+table lookup and branch. The detected output equals a single pass at the
+accepted count; only the cost differs. The complexity benchmark times it
+as the feedback variant (``harness.bench_complexity``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .detectors import DetectorSpec, DetectionTrace, vblast_detect
+from .batched import recompute_indices_batch
+
+# Unused here: the benchmark's tracer wraps this module's ``vblast_detect``
+# binding (span ``detectors.vblast_detect``) until its per-layer metrics
+# stop reading it.
+from .detectors import vblast_detect  # noqa: F401
 
 # log-domain floor so zero-error table cells stay interpolable
 _LOG_BER_FLOOR = 1e-12
@@ -172,9 +175,6 @@ class CalibrationTable:
         lines += [f"{_snr_text(s)},{n},{b:.12e},{m}" for s, n, b, m in zip(self.snr_db, self.n_i, self.ber, self.symbols)]
         return "\n".join(lines) + "\n"
 
-    def save_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv())
-
     @classmethod
     def load_csv(cls, path) -> "CalibrationTable":
         meta = {}
@@ -222,66 +222,53 @@ def feedback_iters(snr_db: float, table: CalibrationTable, target_ber: float, n_
 
 
 def estimate_snr(y_pilot, h, x_pilot) -> float:
-    """Pilot-aided SNR estimate in dB from known transmit blocks.
+    """Pilot-aided SNR estimate in dB from a block of known transmissions.
 
-    ``y_pilot``/``x_pilot`` may be single vectors or stacks of pilot uses
-    (leading axis); ``h`` is the known channel, either shared across uses
-    or stacked alongside. The noise variance estimate is the mean of
-    ``||y - h x||^2 / n_r`` over pilot uses and the returned value is
-    ``-10 log10(noise_var)``, capped at ``+SNR_ESTIMATE_CAP_DB`` when the
-    measured residual vanishes.
+    ``y_pilot`` is ``(P, n_r)``, ``h`` the known channel of each pilot use
+    ``(P, n_r, n_t)`` and ``x_pilot`` ``(P, n_t)``. The noise variance
+    estimate is the mean of ``||y - h x||^2 / n_r`` over pilot uses and the
+    returned value is ``-10 log10(noise_var)``, capped at
+    ``+SNR_ESTIMATE_CAP_DB`` when the measured residual vanishes.
     """
-    y = np.atleast_2d(np.asarray(y_pilot, dtype=np.complex128))
-    x = np.atleast_2d(np.asarray(x_pilot, dtype=np.complex128))
+    y = np.asarray(y_pilot, dtype=np.complex128)
+    x = np.asarray(x_pilot, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     if y.size == 0 or x.size == 0:
         raise ValueError("degenerate pilot block: no pilot uses")
-    if h.ndim == 2:
-        hx = x @ h.T  # (P, n_r)
-    elif h.ndim == 3:
-        hx = np.einsum("pij,pj->pi", h, x)
-    else:
-        raise ValueError("channel must be a matrix or a stack of matrices")
-    if hx.shape != y.shape:
-        raise ValueError(f"pilot shapes disagree: y {y.shape}, h x {hx.shape}")
+    if h.ndim != 3 or y.shape != h.shape[:2] or x.shape != (h.shape[0], h.shape[2]):
+        raise ValueError(
+            f"pilot shapes disagree: y {y.shape}, h {h.shape}, x {x.shape}; expected (P, n_r), (P, n_r, n_t), (P, n_t)"
+        )
     n_r = y.shape[1]
-    noise_var = float(np.mean(np.sum(np.abs(y - hx) ** 2, axis=1) / n_r))
+    noise_var = float(np.mean(np.sum(np.abs(y - np.einsum("pij,pj->pi", h, x)) ** 2, axis=1) / n_r))
     if noise_var <= 0.0:
         return SNR_ESTIMATE_CAP_DB
     return min(SNR_ESTIMATE_CAP_DB, -10.0 * math.log10(noise_var))
 
 
 def feedback_detect(
-    h,
-    y,
-    core: str,
-    snr,
-    c,
-    table: CalibrationTable,
-    target_ber: float,
-    est_snr_db: float,
-) -> tuple[DetectionTrace, int]:
-    """Detect one vector the way the feedback receiver does.
+    h, y, core: str, snr, c, table: CalibrationTable, target_ber: float, est_snr_db: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Detect a batch ``h`` ``(B, n_r, n_t)``, ``y`` ``(B, n_r)`` the way the feedback receiver does.
 
-    Runs a fresh truncated V-BLAST pass at each candidate count
-    ``m = 1, 2, ...`` and after each pass performs one table lookup and
-    branch; stops at the first count that meets the target, or at
-    ``n_imax``. The output is identical to a single pass at the accepted
-    count; the restarts exist to model (and be charged for) the feedback
-    algorithm's repeated nulling/slicing/cancellation work, which is what
-    makes it costlier than ordinary V-BLAST at low SNR. The batched bench
-    runs the same passes and lookups on whole batches.
+    Runs a fresh truncated V-BLAST pass (``recompute_indices_batch``) at
+    each candidate count ``m = 1, 2, ...`` and after each pass performs
+    one table lookup and branch; stops at the first count that meets the
+    target at ``est_snr_db``, or at ``n_imax``. Returns ``(indices, ok, m)``
+    of the last pass, so the output is identical to a single pass at the
+    accepted count, which equals :func:`feedback_iters`. The restarts
+    model (and are charged for) the feedback algorithm's repeated
+    nulling/slicing/cancellation work, which is what makes it costlier
+    than ordinary V-BLAST at low SNR. With one transmit antenna there is
+    no candidate count: one linear pass runs and ``m`` is 0.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    nmax = n_imax(h.shape[1])
-    if nmax == 0:
-        return vblast_detect(h, y, DetectorSpec(core, 0), snr, c), 0
-    trace = None
+    nmax = n_imax(np.shape(h)[-1])
     for m in range(1, nmax + 1):
-        trace = vblast_detect(h, y, DetectorSpec(core, m), snr, c)
-        if table.meets_target(est_snr_db, m, target_ber):
-            return trace, m
-    return trace, nmax
+        indices, _, ok = recompute_indices_batch(h, y, core, m, snr, c)
+        if table.meets_target(est_snr_db, m, target_ber) or m == nmax:
+            return indices, ok, m
+    indices, _, ok = recompute_indices_batch(h, y, core, 0, snr, c)
+    return indices, ok, 0
 
 
 # Only ``bench/make_reference.py`` still names these two; they go when the

@@ -1,13 +1,13 @@
 """The batched detection kernels: one engine, two OSIC loops.
 
-The scalar names ``linalg.inverse`` and ``detectors.vblast_detect`` are
-batch-of-one views of these kernels, so an instance's result must not
-depend on the batch around it. The sweep engine's downdating loop and the
-recomputing loop are different algorithms for the same receiver; they must
-agree on the whole batch (same validity, ordering and point indices). The
-downdating loop inverts the Gram matrix once and downdates the full-size
-inverse in place per detected stream, so its own accuracy is checked
-against freshly deflated Gram matrices.
+The scalar names ``linalg.inverse``, ``detectors.nulling_matrix`` and
+``detectors.vblast_detect`` are batch-of-one views of these kernels, so an
+instance's result must not depend on the batch around it. The sweep
+engine's downdating loop and the recomputing loop are different algorithms
+for the same receiver; they must agree on the whole batch (same validity,
+ordering and point indices). The downdating loop inverts the Gram matrix
+once and downdates the full-size inverse in place per detected stream, so
+its own accuracy is checked against freshly deflated Gram matrices.
 """
 
 import numpy as np
@@ -27,7 +27,7 @@ from osicsim.batched import (
     vblast_indices_batch,
 )
 from osicsim.channel import SnrSpec, gen_channel_batch, gen_noise_batch, make_stream
-from osicsim.detectors import DetectorSpec, nulling_matrix, vblast_detect
+from osicsim.detectors import nulling_matrix, vblast_detect
 from osicsim.linalg import RankDeficiencyError, SingularMatrixError, inverse
 from osicsim.modem import QAM16, QPSK
 
@@ -200,7 +200,7 @@ class TestVblastBatch:
         ok = assert_loops_agree(h, y, core, 3, snr, QPSK)
         assert ok.tolist() == [b != 7 for b in range(16)]
         with pytest.raises(RankDeficiencyError):
-            vblast_detect(h[7], y[7], DetectorSpec(core, 3), snr, QPSK)
+            vblast_detect(h[7], y[7], core, 3, snr, QPSK)
 
     def test_refuses_negative_iterations(self):
         snr = SnrSpec(15.0)

@@ -80,6 +80,20 @@ class TestValidation:
         assert named in res.output and "--detector zf" in res.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_linear_detector_refuses_another_core(self, tmp_path, source):
+        # a linear run nulls with its detector: --core zf under --detector mmse
+        # ran MMSE while its manifest recorded core zf
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("core = zf\n")
+        core = ["--core", "zf"] if source == "flag" else ["--config", str(cfg)]
+        res = CliRunner().invoke(main, ["ber-sweep", *FAST, *core, "--detector", "mmse", "--out", str(tmp_path / "o")])
+        assert res.exit_code != 0
+        assert "--core zf" in res.output and "--detector mmse" in res.output
+        assert not (tmp_path / "o").exists()
+        # the detector's own core is no conflict
+        assert run_cli(["ber-sweep", *FAST, *core, "--detector", "zf", "--out", str(tmp_path / "zf")]).exit_code == 0
+
     def test_defaults_are_the_sweep_config_defaults(self):
         # each key with a SweepConfig field takes that field's default; the
         # one literal left, the snr text, must parse to the default SNR list
@@ -309,10 +323,10 @@ class TestManifestRerun:
     def _write_table(path, ber):
         from osicsim.policy import CalibrationTable
 
-        CalibrationTable(
+        path.write_text(CalibrationTable(
             [8.0, 8.0, 14.0, 14.0], [1, 2, 1, 2], ber, [10_000] * 4,
             {"mod": "qpsk", "nt": 4, "nr": 4, "core": "mmse"},
-        ).save_csv(path)
+        ).to_csv())
 
     def _feedback_run(self, tmp_path, monkeypatch):
         """A feedback-policy sweep started in ``tmp_path`` with a relative ``--calib`` path."""

@@ -11,7 +11,6 @@ import pytest
 from osicsim.batched import count_bit_errors, ml_indices_batch, recompute_indices_batch
 from osicsim.channel import SnrSpec, gen_channel_batch, gen_noise_batch, make_stream
 from osicsim.detectors import (
-    DetectorSpec,
     SearchSpaceError,
     ml_candidates,
     nulling_matrix,
@@ -91,13 +90,15 @@ class TestNullingMatrix:
     def test_unknown_core(self):
         with pytest.raises(ValueError, match="unknown nulling core"):
             nulling_matrix(np.eye(2), "ml", SnrSpec(10.0))
+        with pytest.raises(ValueError, match="unknown nulling core"):
+            vblast_detect(np.eye(2), np.ones(2), "ml", 0, SnrSpec(10.0), QPSK)
 
 
 class TestLinearDetect:
     def test_identity_channel_noiseless(self):
         x = QPSK.points[IDX_00_11]
         for core in ("zf", "mmse"):
-            out = vblast_detect(np.eye(2), x, DetectorSpec(core, 0), SnrSpec(120.0), QPSK).indices
+            out = vblast_detect(np.eye(2), x, core, 0, SnrSpec(120.0), QPSK)[0]
             assert np.array_equal(out, IDX_00_11)
 
     def test_noiseless_random_channel_zf_exact(self):
@@ -105,7 +106,7 @@ class TestLinearDetect:
         for _ in range(20):
             h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             idx = rand_indices(rng, 4, QPSK)
-            out = vblast_detect(h, h @ QPSK.points[idx], DetectorSpec("zf", 0), SnrSpec(30.0), QPSK).indices
+            out = vblast_detect(h, h @ QPSK.points[idx], "zf", 0, SnrSpec(30.0), QPSK)[0]
             assert np.array_equal(out, idx)
 
     def test_against_straight_line_oracle_2x2(self):
@@ -117,7 +118,7 @@ class TestLinearDetect:
             x = QPSK.points[rand_indices(rng, 2, QPSK)]
             noise = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * np.sqrt(snr.noise_var / 2)
             y = h @ x + noise
-            out = vblast_detect(h, y, DetectorSpec("mmse", 0), snr, QPSK).indices
+            out = vblast_detect(h, y, "mmse", 0, snr, QPSK)[0]
 
             d = np.linalg.inv(h.conj().T @ h + np.eye(2) / snr.snr_linear)
             z = d @ h.conj().T @ y
@@ -126,7 +127,7 @@ class TestLinearDetect:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            vblast_detect(np.eye(2), np.ones(3), DetectorSpec("zf", 0), SnrSpec(10.0), QPSK)
+            vblast_detect(np.eye(2), np.ones(3), "zf", 0, SnrSpec(10.0), QPSK)
 
 
 class TestVblastDetect:
@@ -140,10 +141,10 @@ class TestVblastDetect:
             noise = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * np.sqrt(snr.noise_var / 2)
             y = h @ x + noise
             core = ("zf", "mmse")[trial % 2]
-            trace = vblast_detect(h, y, DetectorSpec(core, 0), snr, QPSK)
-            assert trace.order == []
+            indices, order = vblast_detect(h, y, core, 0, snr, QPSK)
+            assert order == []
             g, _ = nulling_matrix(h, core, snr)
-            assert np.array_equal(trace.indices, slice_indices(g @ y, QPSK))
+            assert np.array_equal(indices, slice_indices(g @ y, QPSK))
 
     def test_noiseless_perfect_any_iterations(self):
         rng = make_stream(30, 0)
@@ -154,15 +155,15 @@ class TestVblastDetect:
             y = h @ QPSK.points[idx]
             for iters in range(4):
                 for core in ("zf", "mmse"):
-                    trace = vblast_detect(h, y, DetectorSpec(core, iters), snr, QPSK)
-                    assert np.array_equal(trace.indices, idx), (core, iters)
+                    indices, _ = vblast_detect(h, y, core, iters, snr, QPSK)
+                    assert np.array_equal(indices, idx), (core, iters)
 
     def test_diagonal_channel_detects_strong_stream_first(self):
         # pinv([[2,0],[0,1]]) has row norms [0.5, 1]; stream 0 (gain 2) first
         h = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex)
-        trace = vblast_detect(h, h @ QPSK.points[IDX_00_11], DetectorSpec("zf", 1), SnrSpec(20.0), QPSK)
-        assert trace.order == [0]
-        assert np.array_equal(trace.indices, IDX_00_11)
+        indices, order = vblast_detect(h, h @ QPSK.points[IDX_00_11], "zf", 1, SnrSpec(20.0), QPSK)
+        assert order == [0]
+        assert np.array_equal(indices, IDX_00_11)
 
     def test_order_follows_pinv_row_norms_per_deflation(self):
         # noiseless fixed seed; re-derive the expected order step by step
@@ -170,7 +171,7 @@ class TestVblastDetect:
         h = gen_channel_batch(1, 4, 4, rng)[0]
         idx = rand_indices(np.random.default_rng(99), 4, QPSK)
         y = h @ QPSK.points[idx]
-        trace = vblast_detect(h, y, DetectorSpec("zf", 3), SnrSpec(60.0), QPSK)
+        indices, order = vblast_detect(h, y, "zf", 3, SnrSpec(60.0), QPSK)
 
         active = list(range(4))
         h_cur = h.copy()
@@ -181,8 +182,8 @@ class TestVblastDetect:
             expected_order.append(active[j])
             h_cur = np.delete(h_cur, j, axis=1)
             active.pop(j)
-        assert trace.order == expected_order
-        assert np.array_equal(trace.indices, idx)
+        assert order == expected_order
+        assert np.array_equal(indices, idx)
 
     def test_trace_invariants(self):
         rng = make_stream(32, 0)
@@ -192,9 +193,9 @@ class TestVblastDetect:
         x = QPSK.points[rand_indices(np.random.default_rng(5), 4, QPSK)]
         y = h @ x + noise
         for iters in range(4):
-            trace = vblast_detect(h, y, DetectorSpec("mmse", iters), snr, QPSK)
-            assert len(trace.order) == iters
-            assert len(set(trace.order)) == iters
+            _, order = vblast_detect(h, y, "mmse", iters, snr, QPSK)
+            assert len(order) == iters
+            assert len(set(order)) == iters
 
     def test_ordering_invariant_under_common_scaling(self):
         rng = make_stream(33, 0)
@@ -205,16 +206,16 @@ class TestVblastDetect:
             noise = gen_noise_batch(1, 4, snr.noise_var, rng)[0]
             x = QPSK.points[rand_indices(np.random.default_rng(7), 4, QPSK)]
             y = h @ x + noise
-            base = vblast_detect(h, y, DetectorSpec("zf", 3), snr, QPSK)
-            scaled = vblast_detect(scalar * h, scalar * y, DetectorSpec("zf", 3), snr, QPSK)
-            assert base.order == scaled.order
-            assert np.array_equal(base.indices, scaled.indices)
+            base = vblast_detect(h, y, "zf", 3, snr, QPSK)
+            scaled = vblast_detect(scalar * h, scalar * y, "zf", 3, snr, QPSK)
+            assert base[1] == scaled[1]
+            assert np.array_equal(base[0], scaled[0])
 
     def test_iterations_out_of_range(self):
         with pytest.raises(ValueError, match="exceeds"):
-            vblast_detect(np.eye(4), np.ones(4), DetectorSpec("zf", 4), SnrSpec(10.0), QPSK)
-        with pytest.raises(ValueError):
-            DetectorSpec("zf", -1)
+            vblast_detect(np.eye(4), np.ones(4), "zf", 4, SnrSpec(10.0), QPSK)
+        with pytest.raises(ValueError, match="negative"):
+            vblast_detect(np.eye(4), np.ones(4), "zf", -1, SnrSpec(10.0), QPSK)
 
     def test_monotone_quality_in_iterations(self):
         # shared draws across iteration counts; BER non-increasing within slack.

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from osicsim.batched import recompute_indices_batch
 from osicsim.channel import SnrSpec, complex_normal, gen_channel_batch, make_stream
-from osicsim.detectors import DetectorSpec, vblast_detect
 from osicsim.harness import ConfigError, SweepConfig, _iterations, run_ber_sweep
 from osicsim.modem import QAM16
 from osicsim.policy import (
@@ -94,7 +94,7 @@ class TestCalibrationTable:
     def test_csv_round_trip(self, tmp_path):
         t = synthetic_table()
         path = tmp_path / "calib.csv"
-        t.save_csv(path)
+        path.write_text(t.to_csv())
         back = CalibrationTable.load_csv(path)
         assert np.allclose(back.snr_db, t.snr_db)
         assert np.array_equal(back.n_i, t.n_i)
@@ -110,7 +110,7 @@ class TestCalibrationTable:
     def test_csv_round_trips_any_snr_grid(self, tmp_path_factory, snrs):
         t = CalibrationTable(np.array(snrs), np.arange(len(snrs)) % 3, np.full(len(snrs), 0.25), np.arange(len(snrs)))
         path = tmp_path_factory.mktemp("calib") / "calib.csv"
-        t.save_csv(path)
+        path.write_text(t.to_csv())
         back = CalibrationTable.load_csv(path)
         assert back.snr_db.tobytes() == t.snr_db.tobytes()
         assert back.to_csv() == t.to_csv()
@@ -241,7 +241,7 @@ class TestFeedbackIters:
 
 class TestEstimateSnr:
     def test_noiseless_pilots_capped(self):
-        h = np.eye(4, dtype=complex)
+        h = np.broadcast_to(np.eye(4, dtype=complex), (10, 4, 4))
         x = np.ones((10, 4), dtype=complex)
         y = x.copy()  # y = h x exactly
         est = estimate_snr(y, h, x)
@@ -258,18 +258,17 @@ class TestEstimateSnr:
         est = estimate_snr(y, h, x)
         assert est == pytest.approx(20.0, abs=0.5)
 
-    def test_shared_channel_across_uses(self):
-        rng = make_stream(78, 0)
-        h = gen_channel_batch(1, 3, 2, rng)[0]
-        x = complex_normal(rng, (200, 2), 1.0)
-        noise = complex_normal(rng, (200, 3), 0.1)
-        y = x @ h.T + noise
-        est = estimate_snr(y, h, x)
-        assert est == pytest.approx(10.0, abs=1.0)
-
     def test_empty_pilots_rejected(self):
         with pytest.raises(ValueError, match="degenerate pilot"):
-            estimate_snr(np.zeros((0, 4)), np.eye(4), np.zeros((0, 4)))
+            estimate_snr(np.zeros((0, 4)), np.zeros((0, 4, 4)), np.zeros((0, 4)))
+
+    def test_unstacked_or_mismatched_pilots_rejected(self):
+        # only the stacked block: one channel per pilot use
+        h = np.broadcast_to(np.eye(4, dtype=complex), (10, 4, 4))
+        x = np.ones((10, 4), dtype=complex)
+        for args in ((x, h[0], x), (x[0], h[:1], x[0]), (x, h, x[:, :3]), (x[:9], h, x)):
+            with pytest.raises(ValueError, match="pilot shapes disagree"):
+                estimate_snr(*args)
 
 
 class TestFeedbackDetect:
@@ -277,16 +276,25 @@ class TestFeedbackDetect:
         t = synthetic_table(snrs=tuple(np.arange(14.0, 36.1, 2.0)))
         rng = make_stream(79, 0)
         snr = SnrSpec(15.0)
+        h = gen_channel_batch(64, 8, 8, rng)
+        x = QAM16.points[np.random.default_rng(3).integers(0, 16, (64, 8))]
+        y = np.einsum("bij,bj->bi", h, x) + complex_normal(rng, (64, 8), snr.noise_var)
         for est_db in (14.0, 18.0, 24.0, 30.0, 35.9):
-            planned = feedback_iters(est_db, t, 1e-2, 8)
-            h = gen_channel_batch(1, 8, 8, rng)[0]
-            x = QAM16.points[np.random.default_rng(3).integers(0, 16, 8)]
-            y = h @ x + complex_normal(rng, (8,), snr.noise_var)
-            trace, used = feedback_detect(h, y, "mmse", snr, QAM16, t, 1e-2, est_db)
-            assert used == planned
-            single = vblast_detect(h, y, DetectorSpec("mmse", used), snr, QAM16)
-            assert np.array_equal(trace.indices, single.indices)
-            assert trace.order == single.order
+            indices, ok, m = feedback_detect(h, y, "mmse", snr, QAM16, t, 1e-2, est_db)
+            assert m == feedback_iters(est_db, t, 1e-2, 8)
+            single, _, single_ok = recompute_indices_batch(h, y, "mmse", m, snr, QAM16)
+            assert np.array_equal(indices, single)
+            assert np.array_equal(ok, single_ok)
+
+    def test_single_antenna_runs_one_linear_pass(self):
+        rng = make_stream(80, 0)
+        snr = SnrSpec(10.0)
+        h = gen_channel_batch(16, 2, 1, rng)
+        y = h[:, :, 0] * QAM16.points[3] + complex_normal(rng, (16, 2), snr.noise_var)
+        indices, ok, m = feedback_detect(h, y, "zf", snr, QAM16, synthetic_table(), 1e-2, 20.0)
+        assert m == 0
+        assert np.array_equal(indices, recompute_indices_batch(h, y, "zf", 0, snr, QAM16)[0])
+        assert ok.all()
 
 
 class TestIterationPolicy:

@@ -45,6 +45,8 @@ CALIB_8X8 = str(Path(__file__).resolve().parent.parent / "bench" / "calib_8x8_qa
 RUNS = [
     ("ber-sweep-iters", ["ber-sweep", *FAST, "--iters", "2"]),
     ("ber-sweep-zf", ["ber-sweep", *FAST, "--detector", "zf"]),
+    # the linear path with a pilot-estimating config, which reads no estimate
+    ("ber-sweep-mmse-pilot", ["ber-sweep", *FAST, "--detector", "mmse", "--snr-est", "pilot"]),
     ("ber-sweep-formula-pilot", ["ber-sweep", *POLICY_8X8, "--policy", "formula", "--snr-est", "pilot"]),
     ("ber-sweep-feedback", ["ber-sweep", *FAST, "--policy", "feedback", "--calib", TABLE]),
     ("iter-sweep", ["iter-sweep", *FAST, "--emit-plot"]),
