@@ -15,8 +15,9 @@ Both cores share one nulling formula, written once in
 ``P = (H^H H + lambda I)^-1`` with lambda = 0 for ZF and the noise
 variance for MMSE, ordering metric ``diag P`` and nulling matrix
 ``G = P H^H``. :func:`nulling_batch` returns ``P`` itself rather than
-``G``. Every path slices with ``modem.slice_indices``, which this module
-re-exports. There are two OSIC loops. The complexity benchmark's
+``G``, and the unregularized Gram matrix ``H^H H`` beside it. Every path
+slices with ``modem.slice_indices``, which this module re-exports. There
+are two OSIC loops. The complexity benchmark's
 :func:`recompute_indices_batch` is the paper's receiver: it recomputes
 ``P`` and ``G = P H^H`` on the compacted, deflated channel at every
 iteration, so its cost scales like the recomputing algorithm's. The sweep
@@ -29,11 +30,21 @@ deflated Gram matrix wherever a fresh Gauss-Jordan inverse meets that
 bound itself (condition number below 1e6). Ties in the ordering go to the
 lowest original stream index in both loops.
 
-The downdating loop keeps ``P`` and ``conj(H)`` at full size: a detected
-stream is downdated out of ``P`` in place, which leaves its row and
-column zero, and its ordering metric is masked with ``+inf``, so every
-stream keeps its original index. ``P`` and ``H^H`` are compacted to the
-surviving streams once, by boolean mask, before the final linear block.
+The downdating loop runs on the matched-filter output ``r = H^H y``, as
+the recursive detectors it follows do: ``r`` is formed once per batch,
+stream ``j`` is nulled as ``z_j = P[j, :] r`` (row ``j`` of ``P H^H``
+applied to ``y``), its decision is cancelled as
+``r -= (H^H H)[:, j] x_j``, and entry ``j`` of ``r`` is then zeroed. ``P``
+stays at full size: a detected stream is downdated out of it in place,
+which leaves its row and column stale (rounding residue, not zero), and
+its ordering metric is masked with ``+inf``, so every stream keeps its
+original index. Nothing reads the stale entries for a decision: they
+meet the zeroed entries of ``r``, both in the nulling products and in
+the final linear block, one full-size ``P r`` sliced on the surviving
+streams. ``P``, ``diag P``, the orders and ``ok`` are those of nulling
+``y`` with row ``j`` of ``P H^H``; the soft values differ from that form
+in their last bits, so a decision can differ only where a soft value
+lies within rounding of a decision boundary.
 
 Instead of raising on a rank-deficient instance, the batched routines
 return a boolean validity mask so the harness can redraw the offending
@@ -53,19 +64,23 @@ from .modem import Constellation, slice_indices
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
-def nulling_batch(h: np.ndarray, core: str, snr: SnrSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def nulling_batch(
+    h: np.ndarray, core: str, snr: SnrSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched regularized Gram inverse and ordering metric.
 
-    Returns ``(P, diag P, ok)`` with ``P = (H^H H + lambda I)^-1``
-    (lambda = 0 for ZF, the noise variance for MMSE); the nulling matrix
-    is ``G = P H^H``. ``detectors.nulling_matrix`` is this on a batch of
+    Returns ``(P, diag P, ok, H^H H)`` with ``P = (H^H H + lambda I)^-1``
+    (lambda = 0 for ZF, the noise variance for MMSE) and the
+    unregularized Gram matrix it inverts; the nulling matrix is
+    ``G = P H^H``. ``detectors.nulling_matrix`` is this on a batch of
     one.
     """
     if core not in ("zf", "mmse"):
         raise ValueError(f"unknown nulling core {core!r}")
     reg = snr.noise_var if core == "mmse" else 0.0
-    p, ok = inverse_batch(h.conj().transpose(0, 2, 1) @ h + np.eye(h.shape[2]) * reg)
-    return p, np.diagonal(p, axis1=1, axis2=2).real.copy(), ok
+    gram = h.conj().transpose(0, 2, 1) @ h
+    p, ok = inverse_batch(gram + np.eye(h.shape[2]) * reg)
+    return p, np.diagonal(p, axis1=1, axis2=2).real.copy(), ok, gram
 
 
 def downdate_inverse_batch(p: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -74,13 +89,16 @@ def downdate_inverse_batch(p: np.ndarray, j: np.ndarray) -> np.ndarray:
     One Schur-complement downdate per instance,
     ``P -= P[:, j] P[j, :] / P[j, j]`` (Hassibi, ICASSP 2000; Benesty,
     Huang & Chen, IEEE TSP 2003): O(n^2) work in place of a fresh O(n^3)
-    inversion. Afterwards row and column ``j`` are zero and the other
-    rows and columns hold the inverse of ``A`` with row and column ``j``
-    removed; a zeroed row and column stay zero under later downdates.
-    Returns ``ok``: ``ok[b]`` is False where the pivot ``P[j,j]`` is not
-    finite and positive, as it is for every Hermitian positive definite
-    ``A``. Such instances get a finite but meaningless ``p`` that the
-    caller must discard.
+    inversion. Afterwards the other rows and columns hold the inverse of
+    ``A`` with row and column ``j`` removed. Row and column ``j`` are left
+    stale: they hold rounding residue rather than zeros, later downdates
+    write to them without ever reading them into a surviving entry, and
+    the caller must not read them either (``vblast_indices_batch``
+    multiplies them only by zeroed entries of ``H^H y``). Returns ``ok``:
+    ``ok[b]`` is False where the pivot ``P[j,j]`` is not finite and
+    positive, as it is for every Hermitian positive definite ``A``. Such
+    instances get a meaningless ``p`` that the caller must discard; its
+    surviving entries stay finite where ``p`` was finite.
     """
     q = p.transpose(1, 2, 0)  # batch last, as ``inverse_batch`` stores P
     b = np.arange(len(j))
@@ -90,8 +108,6 @@ def downdate_inverse_batch(p: np.ndarray, j: np.ndarray) -> np.ndarray:
     col = np.ascontiguousarray(q[:, j, b])  # contiguous over the batch
     row = np.ascontiguousarray(q[j, :, b].T) / piv
     q -= col[:, None] * row
-    q[j, :, b] = 0.0
-    q[:, j, b] = 0.0
     return ok
 
 
@@ -115,7 +131,7 @@ def vblast_indices_batch(
     shape ``(batch, iterations)``), and the validity mask.
     """
     h = np.asarray(h, dtype=np.complex128)
-    y = np.array(y, dtype=np.complex128)  # a copy: cancelled in place
+    y = np.asarray(y, dtype=np.complex128)
     batch, n_r, n_t = h.shape
     if iterations < 0:
         raise ValueError(f"iterations {iterations} is negative")
@@ -123,31 +139,26 @@ def vblast_indices_batch(
         raise ValueError(f"iterations {iterations} exceeds n_t - 1 = {n_t - 1}")
 
     rows = np.arange(batch)
-    hc = h.conj()  # H^H, read transposed
     alive = np.ones((batch, n_t), dtype=bool)
     out = np.zeros((batch, n_t), dtype=np.int64)
     orders = np.zeros((batch, iterations), dtype=np.int64)
 
     # one Gram inversion per vector; each detected stream is downdated out
     # of P in place, and its ordering metric is masked
-    p, metric, ok = nulling_batch(h, core, snr)
+    p, metric, ok, gram = nulling_batch(h, core, snr)
+    r = np.einsum("bri,br->bi", h.conj(), y)  # H^H y, cancelled in place
     for it in range(iterations):
         j = np.argmin(metric, axis=1)  # first minimum -> lowest original index
         orders[:, it] = j
-        w = np.einsum("bi,bri->br", p[rows, j], hc)  # row j of P H^H
-        z = np.sum(w * y, axis=1)
-        sidx = slice_indices(z, c)
+        sidx = slice_indices(np.einsum("bi,bi->b", p[rows, j], r), c)  # row j of P, times H^H y
         out[rows, j] = sidx
-        y -= h[rows, :, j] * c.points[sidx][:, None]
+        r -= gram[rows, :, j] * c.points[sidx][:, None]
+        r[rows, j] = 0.0  # the stale row and column j of P meet zeros
         alive[rows, j] = False
         ok &= downdate_inverse_batch(p, j)
         metric = np.where(alive, np.diagonal(p, axis1=1, axis2=2).real, np.inf)
 
-    m = n_t - iterations
-    p = p[alive[:, :, None] & alive[:, None, :]].reshape(batch, m, m)
-    hc = hc[np.broadcast_to(alive[:, None, :], hc.shape)].reshape(batch, n_r, m)
-    z = np.einsum("bij,bj->bi", p @ hc.transpose(0, 2, 1), y)
-    out[alive] = slice_indices(z, c).ravel()
+    out[alive] = slice_indices(np.einsum("bij,bj->bi", p, r)[alive], c)  # the final linear block
     return out, orders, ok
 
 
@@ -178,7 +189,7 @@ def recompute_indices_batch(
     orders = np.zeros((batch, iterations), dtype=np.int64)
     ok = np.ones(batch, dtype=bool)
     for it in range(iterations + 1):  # the last round is the final linear block
-        p, metric, ok_it = nulling_batch(h, core, snr)
+        p, metric, ok_it, _ = nulling_batch(h, core, snr)
         ok &= ok_it
         g = p @ h.conj().transpose(0, 2, 1)
         if it == iterations:

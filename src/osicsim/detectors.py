@@ -80,7 +80,7 @@ def nulling_matrix(h, core: str, snr: SnrSpec):
     h = np.asarray(h, dtype=np.complex128)
     if not np.isfinite(h).all():
         raise ValueError("channel contains NaN or Inf entries")
-    d, metric, ok = nulling_batch(h[None], core, snr)
+    d, metric, ok, _ = nulling_batch(h[None], core, snr)
     if not ok[0]:
         raise RankDeficiencyError("regularized Gram matrix is singular")
     return d[0] @ h.conj().T, metric[0]

@@ -116,6 +116,15 @@ _keep_freed_memory()
 # the smallest multiple of K at or above this
 VECTORS_PER_BATCH = 1024
 
+# the largest single draw a config may ask for, counted as its channel
+# matrices (16 bytes per complex entry): an engine batch, a pilot block or a
+# bench cell; the engine's working set is a few times this
+DRAW_BYTES_MAX = 2**29
+
+# the Gauss-Jordan inverse loops in Python over the matrix order n_t; n_r
+# is bounded too, so that no default draw of any command exceeds the budget
+MAX_ANTENNAS = 32
+
 # stream ids: cells take 1..n_cells, pilot estimation gets its own block
 _PILOT_STREAM_BASE = 2**32
 
@@ -195,6 +204,20 @@ class SweepConfig:
             raise ConfigError(f"bench_detections must be >= 100, got {self.bench_detections}")
         if not (0.0 < self.target_ber < 0.5):  # 0.5 is the BER of a coin toss
             raise ConfigError(f"target_ber must lie in (0, 0.5), got {self.target_ber}")
+        if self.n_r > MAX_ANTENNAS:
+            raise ConfigError(f"n_t and n_r must be <= {MAX_ANTENNAS}, got n_t={self.n_t}, n_r={self.n_r}")
+        draws = (
+            ("subcarriers", "an engine batch", _batch_vectors(self.subcarriers)),
+            ("pilot_uses", "a pilot block", self.pilot_uses if self.snr_est == "pilot" else 0),
+            ("bench_detections", "a bench cell", BENCH_WARMUP_CALLS + self.bench_detections),
+        )
+        for key, what, vectors in draws:
+            size = vectors * self.n_r * self.n_t * 16
+            if size > DRAW_BYTES_MAX:
+                raise ConfigError(
+                    f"{key} = {getattr(self, key)} makes {what} of {vectors} {self.n_r}x{self.n_t} channels, "
+                    f"{size} bytes, more than DRAW_BYTES_MAX = {DRAW_BYTES_MAX}"
+                )
         return self
 
 

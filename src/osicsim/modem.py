@@ -17,13 +17,27 @@ Fixed labelings:
   ``{00: -3, 01: -1, 11: +1, 10: +3} / sqrt(10)``; the in-phase level comes
   from the high bit pair and the quadrature level from the low pair.
 
-Slicing ties are broken by the lowest point index; with continuous noise
-this is a measure-zero event and exists only to pin determinism.
+Both constellations are square grids, so the nearest point is the
+nearest level on each axis: the squared distance is a sum of one real and
+one imaginary term. :func:`slice_indices` finds each axis's level by
+comparing the soft value with thresholds at the level midpoints
+(``np.searchsorted``) and looks the pair up in a point table; the
+thresholds and the table are built once per constellation from
+``points``. Each threshold is the least float at least as near the upper
+level as the lower one, decided exactly when it is built, so the slicer
+returns the exactly nearest point for every finite soft value, with no
+rounding of a distance (numpy's complex ``abs`` is not correctly rounded,
+and overflows far out). Ties are broken by the lowest point index: on each
+axis a value exactly midway goes to the level of the lower Gray label,
+which for these per-axis labellings is the lowest index of the tied
+points. With continuous noise a tie is a measure-zero event; the rule
+exists only to pin determinism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +52,8 @@ class Constellation:
     name: str
     points: np.ndarray
     bits_per_symbol: int
+    # (real-axis thresholds, imaginary-axis thresholds, point table) of slice_indices
+    grid: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = len(self.points)
@@ -48,6 +64,32 @@ class Constellation:
             raise ValueError(f"constellation mean energy {energy} is not 1")
         if len(set(self.points.tolist())) != m:
             raise ValueError("constellation points must be distinct")
+        object.__setattr__(self, "grid", _slicing_grid(self.points))
+
+
+def _thresholds(levels: list, labels: np.ndarray) -> np.ndarray:
+    """Per-axis slicing thresholds: ``x`` lies nearest ``levels[k]`` for ``k`` thresholds ``<= x``.
+
+    Threshold ``k`` is the least float at least as near ``levels[k + 1]``
+    as ``levels[k]``, found exactly (``fsum`` rounds ``2 mid - lo - hi``
+    correctly, so its sign is exact); a float exactly midway goes to the
+    level of lower ``labels``.
+    """
+    out = []
+    for k, (lo, hi) in enumerate(zip(levels, levels[1:])):
+        mid = (lo + hi) / 2
+        err = math.fsum((2 * mid, -lo, -hi))
+        up = err > 0 or (err == 0 and labels[k + 1] < labels[k])
+        out.append(mid if up else np.nextafter(mid, np.inf))
+    return np.array(out)
+
+
+def _slicing_grid(points: np.ndarray) -> tuple:
+    """Thresholds and point table of the per-axis slicer of a square grid constellation."""
+    index = {(p.real, p.imag): i for i, p in enumerate(points.tolist())}
+    re, im = (sorted({key[axis] for key in index}) for axis in (0, 1))
+    table = np.array([[index[(a, b)] for b in im] for a in re])
+    return _thresholds(re, table[:, 0]), _thresholds(im, table[0]), table
 
 
 def _make_qpsk() -> Constellation:
@@ -98,4 +140,5 @@ def slice_indices(z, c: Constellation) -> np.ndarray:
 
     ``z`` may be a scalar or an array of any shape; the result has its shape.
     """
-    return np.argmin(np.abs(np.asarray(z)[..., None] - c.points), axis=-1)
+    re, im, table = c.grid
+    return table[np.searchsorted(re, np.real(z), side="right"), np.searchsorted(im, np.imag(z), side="right")]

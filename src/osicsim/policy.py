@@ -166,6 +166,14 @@ class CalibrationTable:
         need = set(range(1, n_imax(nt) + 1))
         if not need <= covered:
             raise CalibrationError(f"table covers n_i {sorted(covered)}, run needs {sorted(need)}")
+        held = set(self.snr_db.tolist())
+        for n in sorted(need):  # a curve that stops short would be extrapolated flat
+            missing = held - set(self.snr_db[self.n_i == n].tolist())
+            if missing:
+                raise CalibrationError(
+                    f"table has no n_i = {n} row at snr_db {', '.join(map(_snr_text, sorted(missing)))}, "
+                    "which it holds for other n_i"
+                )
 
     # -- persistence -----------------------------------------------------
 

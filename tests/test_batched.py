@@ -126,8 +126,9 @@ class TestNullingBatch:
         rng = make_stream(53, 0)
         snr = SnrSpec(14.0)
         h = gen_channel_batch(32, 4, 4, rng)
-        p, metric, ok = nulling_batch(h, core, snr)
+        p, metric, ok, gram = nulling_batch(h, core, snr)
         assert ok.all()
+        assert np.array_equal(gram, h.conj().transpose(0, 2, 1) @ h)  # unregularized
         g = p @ h.conj().transpose(0, 2, 1)
         for b in range(32):
             g_s, m_s = nulling_matrix(h[b], core, snr)
@@ -255,8 +256,8 @@ def survivors(p, alive):
 
 class TestDowndateInverse:
     """``downdate_inverse_batch`` works on the full-size ``P`` in place: the
-    surviving rows and columns hold the downdated inverse, and row and
-    column ``j`` become exactly zero."""
+    surviving rows and columns hold the downdated inverse. Row and column
+    ``j`` are left stale (rounding residue), and nothing reads them."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -278,7 +279,7 @@ class TestDowndateInverse:
         snr = SnrSpec(20.0)
         h = gen_channel_batch(batch, n_t + extra_rx, n_t, make_stream(seed, 0))
         reg = 0.0 if core == "zf" else snr.noise_var
-        p, metric, ok = nulling_batch(h, core, snr)
+        p, metric, ok, _ = nulling_batch(h, core, snr)
         assert ok.all()
         gram = h.conj().transpose(0, 2, 1) @ h + reg * np.eye(n_t)
         domain = np.linalg.cond(gram) < 1e6
@@ -289,7 +290,6 @@ class TestDowndateInverse:
             assert downdate_inverse_batch(p, j).all()
             alive[rows, j] = False
             assert p.shape == (batch, n_t, n_t)
-            assert not p[rows, j].any() and not p[rows, :, j].any()
             sub = survivors(p, alive)
             for b in range(batch):
                 h_b = h[b][:, alive[b]]
@@ -303,7 +303,7 @@ class TestDowndateInverse:
         rng = np.random.default_rng(80 + n)
         rows = np.arange(256)
         h = gen_channel_batch(256, n + 1, n, make_stream(80 + n, 0))
-        p, _, ok = nulling_batch(h, "mmse", SnrSpec(20.0))
+        p, _, ok, _ = nulling_batch(h, "mmse", SnrSpec(20.0))
         assert ok.all()
         p[:3, 0, 0] = [-1.0, 0.0, np.nan]  # bad pivots where j = 0
         pos = rng.integers(0, n, 256)  # the stream to remove, among the survivors
@@ -315,7 +315,6 @@ class TestDowndateInverse:
             assert np.array_equal(downdate_inverse_batch(p, j), ok_want)
             alive[rows, j] = False
             assert np.array_equal(survivors(p, alive), want)
-            assert not p[rows, j].any() and not p[rows, :, j].any()
             pos = rng.integers(0, m - 1, 256)
 
     def test_bad_pivot_flagged_and_kept_finite(self):
@@ -325,9 +324,8 @@ class TestDowndateInverse:
         p[3, 2, 2] = np.nan
         ok = downdate_inverse_batch(p, np.full(4, 2))
         assert ok.tolist() == [True, False, False, False]
-        assert np.isfinite(p).all()
+        assert np.isfinite(p[:, :2, :2]).all()  # the survivors; stale row and column 2 may hold the NaN
         assert np.array_equal(p[0], np.diag([1.0, 1.0, 0.0]))
-        assert not p[:, 2].any() and not p[:, :, 2].any()
 
 
 class TestCountBitErrors:

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from osicsim import cli
 from osicsim.cli import DEFAULTS, OPTIONS, _sweep_config, main
-from osicsim.harness import SweepConfig
+from osicsim.harness import DRAW_BYTES_MAX, MAX_ANTENNAS, SweepConfig
+
+CALIB_8X8 = Path(__file__).resolve().parent.parent / "bench" / "calib_8x8_qam16.csv"
 
 # fast sweeps for CLI plumbing tests: 4x4 QPSK at one moderate SNR
 FAST = [
@@ -450,6 +452,48 @@ class TestBoundaryValues:
         )
         assert res.returncode != 0
         assert f"points, more than {cli.MAX_SNR_POINTS}" in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    # one vector past the draw budget for each draw at 8x8, and one antenna past the bound
+    @pytest.mark.parametrize("args, message", [
+        (["--subcarriers", str(DRAW_BYTES_MAX // 1024 + 1)], f"subcarriers = {DRAW_BYTES_MAX // 1024 + 1} "),
+        (["--snr-est", "pilot", "--policy", "formula", "--pilot-uses", str(DRAW_BYTES_MAX // 1024 + 1)],
+         f"pilot_uses = {DRAW_BYTES_MAX // 1024 + 1} "),
+        (["bench", "--calib", str(CALIB_8X8), "--bench-detections", str(DRAW_BYTES_MAX // 1024 - 99)],
+         f"bench_detections = {DRAW_BYTES_MAX // 1024 - 99} "),
+        (["--nt", str(MAX_ANTENNAS + 1), "--nr", str(MAX_ANTENNAS + 1)], f"n_t and n_r must be <= {MAX_ANTENNAS}, "),
+    ], ids=["subcarriers", "pilot_uses", "bench_detections", "nt"])
+    def test_oversized_draws_are_refused_before_allocating(self, tmp_path, args, message):
+        # in a child process with a timeout and a 1 GiB address-space cap, as
+        # above: a run that drew its oversized block would fail there or hang
+        code = (
+            "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "runpy.run_module('osicsim.cli', run_name='__main__')"
+        )
+        command = args if args[0] == "bench" else ["ber-sweep", *args]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        res = subprocess.run(
+            [sys.executable, "-c", code, *command, "--snr", "20", "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+        assert res.returncode != 0
+        assert message in res.stderr
+        assert "DRAW_BYTES_MAX" in res.stderr or args[0] == "--nt"
+        assert not (tmp_path / "o").exists()
+
+    def test_feedback_refuses_a_ragged_table(self, tmp_path):
+        # the n_i = 2 curve stops at 20 dB; a lookup at 30 dB would read its 20 dB BER
+        (tmp_path / "ragged.csv").write_text(
+            "# mod=qpsk nt=4 nr=4 core=mmse\nsnr_db,n_i,ber,symbols\n"
+            "10,1,1e-1,1000\n20,1,2e-2,1000\n30,1,3e-3,1000\n10,2,5e-2,1000\n20,2,5e-3,1000\n"
+        )
+        res = CliRunner().invoke(main, [
+            "ber-sweep", *FAST, "--policy", "feedback", "--calib", str(tmp_path / "ragged.csv"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert res.exit_code != 0
+        assert "table has no n_i = 2 row at snr_db 30" in res.output
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])

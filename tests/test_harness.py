@@ -52,6 +52,30 @@ class TestSweepConfig:
     def test_defaults_valid(self):
         SweepConfig().validate()
 
+    # vector counts of each draw at the budget on an 8x8 system (1,024 bytes of channel per vector)
+    @pytest.mark.parametrize("key, at_bound, extra", [
+        ("subcarriers", harness.DRAW_BYTES_MAX // 1024, {}),
+        ("pilot_uses", harness.DRAW_BYTES_MAX // 1024, {"snr_est": "pilot"}),
+        ("bench_detections", harness.DRAW_BYTES_MAX // 1024 - harness.BENCH_WARMUP_CALLS, {}),
+    ])
+    def test_largest_draw_is_bounded(self, key, at_bound, extra):
+        SweepConfig(**{key: at_bound}, **extra).validate()
+        size = (at_bound + 1 + (harness.BENCH_WARMUP_CALLS if key == "bench_detections" else 0)) * 1024
+        with pytest.raises(ConfigError) as info:
+            SweepConfig(**{key: at_bound + 1}, **extra).validate()
+        assert str(info.value).startswith(f"{key} = {at_bound + 1} makes ")
+        assert f"{size} bytes, more than DRAW_BYTES_MAX = {harness.DRAW_BYTES_MAX}" in str(info.value)
+
+    def test_pilot_block_is_sized_only_where_it_is_drawn(self):
+        SweepConfig(pilot_uses=harness.DRAW_BYTES_MAX, snr_est="genie").validate()
+
+    def test_antennas_are_bounded(self):
+        top = harness.MAX_ANTENNAS
+        SweepConfig(n_t=top, n_r=top).validate()  # with every default draw inside the budget
+        for n_t, n_r in ((top + 1, top + 1), (1, top + 1)):
+            with pytest.raises(ConfigError, match=f"n_t and n_r must be <= {top}, got n_t={n_t}, n_r={n_r}"):
+                SweepConfig(n_t=n_t, n_r=n_r).validate()
+
     def test_invariants_enforced(self):
         with pytest.raises(ConfigError, match="n_r >= n_t"):
             small_cfg(n_t=6, n_r=4).validate()

@@ -183,6 +183,28 @@ class TestCalibrationTable:
         with pytest.raises(CalibrationError, match="covers"):
             t.validate_for("qam16", 8, "mmse")
 
+    def test_validate_for_refuses_ragged_curves(self):
+        # the n_i = 2 curve stops at 20 dB: interp_ber would read its 20 dB
+        # BER at 30 dB, and feedback_iters(30, ...) would pick n_i = 2
+        t = CalibrationTable(
+            np.array([10.0, 20.0, 30.0, 10.0, 20.0]), np.array([1, 1, 1, 2, 2]),
+            np.array([1e-1, 2e-2, 3e-3, 5e-2, 5e-3]), np.array([1000] * 5),
+            {"mod": "qpsk", "nt": 4, "nr": 4, "core": "mmse"},
+        )
+        with pytest.raises(CalibrationError, match=r"no n_i = 2 row at snr_db 30, which it holds for other n_i"):
+            t.validate_for("qpsk", 4, "mmse")
+
+    def test_validate_for_names_every_missing_snr(self):
+        t = synthetic_table(snrs=(16.0, 22.5, 25.0, 34.0))
+        keep = ~((t.n_i == 3) & np.isin(t.snr_db, (16.0, 22.5)))
+        t = CalibrationTable(t.snr_db[keep], t.n_i[keep], t.ber[keep], t.symbols[keep], t.meta)
+        with pytest.raises(CalibrationError, match=r"no n_i = 3 row at snr_db 16, 22\.5,"):
+            t.validate_for("qam16", 8, "mmse")
+        t = synthetic_table()
+        keep = ~((t.n_i == 0) & (t.snr_db == 16.0))  # no run reads n_i = 0 rows
+        CalibrationTable(t.snr_db[keep], t.n_i[keep], t.ber[keep], t.symbols[keep], t.meta).validate_for(
+            "qam16", 8, "mmse")
+
     def test_interpolation_log_domain(self):
         t = synthetic_table()
         # midway between rows the log10 values interpolate linearly

@@ -45,6 +45,9 @@ CALIB_8X8 = str(Path(__file__).resolve().parent.parent / "bench" / "calib_8x8_qa
 RUNS = [
     ("ber-sweep-iters", ["ber-sweep", *FAST, "--iters", "2"]),
     ("ber-sweep-zf", ["ber-sweep", *FAST, "--detector", "zf"]),
+    # the ZF core through OSIC iterations, and the 8x8 system at full depth
+    ("ber-sweep-zf-iters", ["ber-sweep", *FAST, "--core", "zf", "--iters", "3"]),
+    ("ber-sweep-8x8", ["ber-sweep", *POLICY_8X8]),
     # the linear path with a pilot-estimating config, which reads no estimate
     ("ber-sweep-mmse-pilot", ["ber-sweep", *FAST, "--detector", "mmse", "--snr-est", "pilot"]),
     ("ber-sweep-formula-pilot", ["ber-sweep", *POLICY_8X8, "--policy", "formula", "--snr-est", "pilot"]),
