@@ -11,6 +11,19 @@ count and any scheduling: workers only decide *who* runs a cell, never
 *what* it draws. Timing columns are the one exception; wall-clock numbers
 differ run to run and are excluded from all determinism contracts.
 
+Within a cell, one helper thread draws batch i + 1 (channels, bits, noise
+and ``y``) while the cell's own thread detects and counts batch i, so the
+draw and the detect keep two cores busy. The helper draws from the cell's
+generator in the sequential order, and only while the stopping rule can
+still let the cell go on after batch i; the cell's thread touches the
+generator only while no draw is in flight. A batch with rank-deficient instances
+rewinds the stream to where the next batch starts, waiting for that
+draw first, redraws its channels from there and then draws the next
+batch again, so every count is the one a sequential loop gets. A cell
+that stops on its error target discards at most one batch drawn ahead.
+The helper lives in a ``with`` block for the cell, so it is joined on
+every way out, and no thread is alive when a later call forks its pool.
+
 Detection depths
 ----------------
 The depths a run detects at are an argument of the operation, not part of
@@ -51,9 +64,11 @@ Memory
 Importing this module raises glibc's mmap and trim thresholds for the
 whole process, pool workers included, so the megabyte-sized arrays a
 batch frees stay in the heap and the next batch reuses their pages
-instead of faulting in fresh ones. The price is that the process's
-resident memory stays at its high-water mark until it exits. On any libc
-other than glibc nothing changes.
+instead of faulting in fresh ones. It also keeps glibc to one malloc
+arena, so the batches the helper thread draws come from the same heap and
+reuse the same pages, rather than from a second arena of their own. The
+price is that the process's resident memory stays at its high-water mark
+until it exits. On any libc other than glibc nothing changes.
 """
 
 from __future__ import annotations
@@ -61,6 +76,7 @@ from __future__ import annotations
 import math
 import platform
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from numbers import Integral
 
@@ -92,13 +108,15 @@ from .detectors import vblast_detect  # noqa: F401
 # Raising both thresholds keeps freed batch arrays in the heap, where the
 # next batch reuses them. Either alone still faults: without the trim bound
 # the heap top is handed back, and without the mmap bound large blocks
-# never enter the heap.
+# never enter the heap. One arena: the cell's helper thread would otherwise
+# get an arena of its own, and the batches it draws would hold a second heap.
 _MMAP_THRESHOLD = 32 * 2**20  # glibc's largest on 64-bit
 _TRIM_THRESHOLD = 128 * 2**20
+_ARENA_MAX = 1
 
 
 def _keep_freed_memory() -> None:
-    """Raise glibc's mmap and trim thresholds for this process; a no-op on any other libc."""
+    """Raise glibc's mmap and trim thresholds and keep one malloc arena; a no-op on any other libc."""
     import ctypes
 
     libc = ctypes.CDLL(None)
@@ -107,6 +125,7 @@ def _keep_freed_memory() -> None:
         libc.mallopt.restype = ctypes.c_int
         libc.mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
         libc.mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+        libc.mallopt(-8, _ARENA_MAX)  # M_ARENA_MAX
 
 
 _keep_freed_memory()
@@ -305,6 +324,10 @@ def _run_cell(cfg: SweepConfig, cell: _Cell) -> list[BerPoint]:
     batch = _batch_vectors(cfg.subcarriers)
     cap_symbols = SYMBOL_BUDGET_FACTOR * cfg.min_symbols
 
+    def stops(symbols, errors):
+        """The stopping rule: the symbol budget is spent, or both targets are met."""
+        return symbols >= cap_symbols or (symbols >= cfg.min_symbols and min(errors) >= cfg.min_errors)
+
     def detect(h, y):
         """Each variant's detected indices and detect time, and where every variant detected."""
         outs, times, ok = [], [], np.ones(len(h), dtype=bool)
@@ -322,35 +345,53 @@ def _run_cell(cfg: SweepConfig, cell: _Cell) -> list[BerPoint]:
     retries = 0
     draws = 0
 
-    while symbols < cap_symbols:
-        h, tx_idx, noise, y = _draw(cfg, c, batch, link.noise_var, rng)
-        draws += batch
-        outs, times, ok = detect(h, y)
+    # the helper thread draws batch i + 1 while this one detects batch i; the
+    # with block joins it on every way out of the cell
+    with ThreadPoolExecutor(max_workers=1) as helper:
 
-        # rank-deficient instances (measure-zero for Rayleigh draws) get a
-        # fresh channel, kept consistent across all variants of the cell;
-        # bits and noise are reused
-        rounds = 0
-        bad = np.flatnonzero(~ok)
-        while bad.size:
-            rounds += 1
-            if rounds > _MAX_REDRAW_ROUNDS:
-                raise RankRetryError(f"rank redraw did not converge for {bad.size} instances")
-            retries += bad.size
-            draws += bad.size
-            h[bad] = gen_channel_batch(bad.size, cfg.n_r, cfg.n_t, rng)
-            y[bad] = transmit_batch(h[bad], c.points[tx_idx[bad]], noise[bad])
-            redone, _, ok_bad = detect(h[bad], y[bad])
-            for out, out_bad in zip(outs, redone):
-                out[bad] = out_bad
-            bad = bad[~ok_bad]
+        def draw_ahead():
+            """The stream state the next batch starts from, and its draw running on the helper."""
+            return rng.bit_generator.state, helper.submit(_draw, cfg, c, batch, link.noise_var, rng)
 
-        for k, out in enumerate(outs):
-            errors[k] += count_bit_errors(tx_idx, out)
-            detect_ns[k] += times[k]
-        symbols += batch * cfg.n_t
-        if symbols >= cfg.min_symbols and min(errors) >= cfg.min_errors:
-            break
+        start, ahead = draw_ahead()
+        while True:
+            h, tx_idx, noise, y = ahead.result()
+            draws += batch
+            symbols += batch * cfg.n_t
+            ahead = None
+            if not stops(symbols, errors):  # a cell that stops whatever this batch holds draws no more
+                start, ahead = draw_ahead()
+            outs, times, ok = detect(h, y)
+
+            # rank-deficient instances (measure-zero for Rayleigh draws) get a
+            # fresh channel, kept consistent across all variants of the cell;
+            # bits and noise are reused. The redraws take the stream where the
+            # next batch would start, so that batch is drawn again after them.
+            bad = np.flatnonzero(~ok)
+            if bad.size and ahead is not None:
+                wait((ahead,))
+                rng.bit_generator.state = start
+            rounds = 0
+            while bad.size:
+                rounds += 1
+                if rounds > _MAX_REDRAW_ROUNDS:
+                    raise RankRetryError(f"rank redraw did not converge for {bad.size} instances")
+                retries += bad.size
+                draws += bad.size
+                h[bad] = gen_channel_batch(bad.size, cfg.n_r, cfg.n_t, rng)
+                y[bad] = transmit_batch(h[bad], c.points[tx_idx[bad]], noise[bad])
+                redone, _, ok_bad = detect(h[bad], y[bad])
+                for out, out_bad in zip(outs, redone):
+                    out[bad] = out_bad
+                bad = bad[~ok_bad]
+            if rounds and ahead is not None:
+                start, ahead = draw_ahead()
+
+            for k, out in enumerate(outs):
+                errors[k] += count_bit_errors(tx_idx, out)
+                detect_ns[k] += times[k]
+            if stops(symbols, errors):
+                break
 
     if retries > 0.001 * draws:
         raise RankRetryError(f"{retries} rank redraws out of {draws} draws exceeds 0.1%")

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -303,21 +304,82 @@ class TestGoldenCounts:
 
 class TestRankRedraw:
     def test_redraw_path_counts_and_recovers(self, monkeypatch):
-        calls = {"n": 0}
         real = harness.gen_channel_batch
+        calls = {"n": 0, "deficient": 0}
 
         def inject(count, n_r, n_t, rng):
             h = real(count, n_r, n_t, rng)
             calls["n"] += 1
-            if calls["n"] == 1:  # first batch: two rank-deficient instances
+            if calls["n"] == calls["deficient"]:  # two rank-deficient instances in one batch
                 h[0, :, 1] = h[0, :, 0]
                 h[3, :, 2] = 0.5 * h[3, :, 0]
             return h
 
         monkeypatch.setattr(harness, "gen_channel_batch", inject)
-        cfg = small_cfg(core="zf", snr_db_list=(10.0,))
-        pts = run_ber_sweep(cfg, (2,))
-        assert pts[0].total_bits > 0  # completed despite injected deficiency
+        # four batches of 1024 vectors; a short switch interval interleaves
+        # the helper's draw and this thread's rewind as finely as it can
+        cfg = small_cfg(core="zf", snr_db_list=(10.0,), subcarriers=64, min_symbols=16_384, seed=7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # the counts of the sequential draw loop, pinned before batches
+            # were drawn ahead: a redraw takes the stream where the next
+            # batch would start. The first batch is the first call, and the
+            # third batch the third when nothing was redrawn before it.
+            for deficient, counts in ((1, (2378, 32768)), (3, (2288, 32768))):
+                calls.update(n=0, deficient=deficient)
+                (p,) = run_ber_sweep(cfg, (2,))
+                assert (p.bit_errors, p.total_bits) == counts
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestHelperThread:
+    """Each cell draws its next batch on one helper thread, which no run leaves behind."""
+
+    CFG = dict(snr_db_list=(8.0, 12.0))
+
+    def test_sweep_leaves_no_thread(self):
+        before = threading.enumerate()
+        run_ber_sweep(small_cfg(**self.CFG), (1,))
+        assert threading.enumerate() == before
+
+    def test_rank_retry_error_leaves_no_thread(self, monkeypatch):
+        real = harness.gen_channel_batch
+
+        def deficient(count, n_r, n_t, rng):  # every draw, redraws included, holds one singular channel
+            h = real(count, n_r, n_t, rng)
+            h[0, :, 1] = h[0, :, 0]
+            return h
+
+        monkeypatch.setattr(harness, "gen_channel_batch", deficient)
+        before = threading.enumerate()
+        with pytest.raises(harness.RankRetryError, match="rank redraw did not converge"):
+            run_ber_sweep(small_cfg(**self.CFG, core="zf"), (1,))
+        assert threading.enumerate() == before
+
+    def test_draw_error_reaches_the_caller(self, monkeypatch):
+        drawn_on = []
+
+        def broken(count, n_r, noise_var, rng):
+            drawn_on.append(threading.current_thread())
+            raise FloatingPointError(f"noise of {count} vectors failed")
+
+        monkeypatch.setattr(harness, "gen_noise_batch", broken)
+        before = threading.enumerate()
+        with pytest.raises(FloatingPointError, match="^noise of 1024 vectors failed$"):
+            run_ber_sweep(small_cfg(**self.CFG), (1,))
+        assert threading.enumerate() == before
+        assert drawn_on and threading.main_thread() not in drawn_on
+
+    def test_pool_after_helper_threads_keeps_the_counts(self):
+        # runs after the tests above in one process: the fork pool starts
+        # with no helper thread alive
+        counts = {}
+        for workers in (1, 2):
+            pts = run_ber_sweep(small_cfg(**self.CFG, workers=workers), (1,))
+            counts[workers] = [(p.snr_db, p.bit_errors, p.total_bits) for p in pts]
+        assert counts[1] == counts[2]
 
 
 class TestCalibrate:

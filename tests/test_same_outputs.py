@@ -31,7 +31,7 @@ def test_summary_on_same_outputs(monkeypatch, capsys):
     monkeypatch.setattr(same_outputs, "cli", fake_cli("help"))
     assert same_outputs.main(["old", "new"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "same outputs; compared 24 of 24 runs (12 runs x 2 seeds), 48 files, 24 reruns and 8 help texts"
+        "same outputs; compared 26 of 26 runs (13 runs x 2 seeds), 52 files, 26 reruns and 8 help texts"
     ]
 
 
@@ -40,5 +40,5 @@ def test_summary_follows_the_differences(monkeypatch, capsys):
     assert same_outputs.main(["old", "new"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "osicsim bench --help: help text differs",
-        "differences found: 1; compared 24 of 24 runs (12 runs x 2 seeds), 48 files, 24 reruns and 8 help texts",
+        "differences found: 1; compared 26 of 26 runs (13 runs x 2 seeds), 52 files, 26 reruns and 8 help texts",
     ]

@@ -22,7 +22,7 @@ Usage, from the repository root:
 Prints each difference, then on every exit a summary of what it
 compared: runs, files, reruns and help texts, so a run that stopped early
 shows. Exits 1 if there is any difference, else 0. A full check takes
-about 30 s on two cores.
+about 35 s on two cores.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ RUNS = [
     # the ZF core through OSIC iterations, and the 8x8 system at full depth
     ("ber-sweep-zf-iters", ["ber-sweep", *FAST, "--core", "zf", "--iters", "3"]),
     ("ber-sweep-8x8", ["ber-sweep", *POLICY_8X8]),
+    # the same cells in a process pool, where each worker draws ahead on its own helper thread
+    ("ber-sweep-8x8-w2", ["ber-sweep", *POLICY_8X8, "--workers", "2"]),
     # the linear path with a pilot-estimating config, which reads no estimate
     ("ber-sweep-mmse-pilot", ["ber-sweep", *FAST, "--detector", "mmse", "--snr-est", "pilot"]),
     ("ber-sweep-formula-pilot", ["ber-sweep", *POLICY_8X8, "--policy", "formula", "--snr-est", "pilot"]),
