@@ -10,7 +10,7 @@ kept for the benchmark's bindings and the tests of its contract; it has
 no loop of its own. The feedback receiver, ``policy.feedback_detect``,
 restarts :func:`recompute_indices_batch` once per candidate count.
 
-Both cores share one nulling formula, written once in
+The cores, ``NULLING_CORES``, share one nulling formula, written once in
 :func:`nulling_batch`: the regularized Gram inverse
 ``P = (H^H H + lambda I)^-1`` with lambda = 0 for ZF and the noise
 variance for MMSE, ordering metric ``diag P`` and nulling matrix
@@ -61,6 +61,8 @@ from .channel import SnrSpec
 from .linalg import inverse_batch
 from .modem import Constellation, slice_indices
 
+NULLING_CORES = ("zf", "mmse")
+
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
@@ -75,7 +77,7 @@ def nulling_batch(
     ``G = P H^H``. ``detectors.nulling_matrix`` is this on a batch of
     one.
     """
-    if core not in ("zf", "mmse"):
+    if core not in NULLING_CORES:
         raise ValueError(f"unknown nulling core {core!r}")
     reg = snr.noise_var if core == "mmse" else 0.0
     gram = h.conj().transpose(0, 2, 1) @ h
@@ -205,17 +207,6 @@ def recompute_indices_batch(
         h = h[np.broadcast_to(keep[:, None, :], h.shape)].reshape(batch, n_r, -1)
     out[rows[:, None], active] = slice_indices((g @ y[:, :, None])[:, :, 0], c)
     return out, orders, ok
-
-
-def ml_indices_batch(
-    h: np.ndarray, y: np.ndarray, cand_idx: np.ndarray, c: Constellation
-) -> np.ndarray:
-    """Batched exhaustive ML over precomputed candidate index vectors."""
-    cand_sym = c.points[cand_idx]  # (P, n_t)
-    hx = np.einsum("bij,pj->bpi", h, cand_sym)  # (batch, P, n_r)
-    metric = np.sum(np.abs(y[:, None, :] - hx) ** 2, axis=2)
-    best = np.argmin(metric, axis=1)
-    return cand_idx[best]
 
 
 def count_bit_errors(tx_idx: np.ndarray, rx_idx: np.ndarray) -> int:

@@ -46,8 +46,8 @@ import click
 import numpy as np
 
 from . import __version__
+from .batched import NULLING_CORES
 from .channel import RNG_SCHEME
-from .detectors import NULLING_CORES
 from .harness import (
     POLICIES,
     SNR_ESTIMATORS,
@@ -304,7 +304,7 @@ def _ber_result(command: str, cfg: SweepConfig, points, calib: dict | None = Non
 def _ber_sweep(resolved: dict) -> Result:
     detector, policy, iters = resolved["detector"], resolved["policy"], resolved["iters"]
     if detector != "vblast":
-        for flag in ("policy", "iters"):
+        for flag in ("policy", "iters", "calib"):
             if resolved[flag] != DEFAULTS[flag]:
                 raise click.UsageError(
                     f"--{flag} sets the depth of --detector vblast; it cannot go with --detector {detector}"
@@ -318,6 +318,8 @@ def _ber_sweep(resolved: dict) -> Result:
         return _ber_result("ber-sweep", cfg, run_linear_sweep(cfg, detector))
     if policy != "fixed" and iters is not None:
         raise click.UsageError(f"--iters sets the count of --policy fixed; it cannot go with --policy {policy}")
+    if policy != "feedback" and resolved["calib"] is not None:
+        raise click.UsageError(f"--calib is the table of --policy feedback; it cannot go with --policy {policy}")
     # the fixed policy runs --iters, or nt - 1 by default; another policy is a depth name
     depth = iters if policy == "fixed" else policy
     table, calib = _load_table(resolved) if policy == "feedback" else (None, None)

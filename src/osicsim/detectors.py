@@ -1,5 +1,5 @@
-"""MIMO detectors: the OSIC V-BLAST loop (linear detection at zero
-iterations) and the candidate list of the exhaustive ML oracle.
+"""The scalar V-BLAST receiver: the OSIC loop (linear detection at zero
+iterations) and its nulling matrix, on one channel at a time.
 
 The V-BLAST detector runs a configurable number of
 ordering/nulling/slicing/cancellation iterations and then detects the
@@ -22,14 +22,15 @@ deflated channel ``H_i``:
 * cancellation: subtract that point times its channel column from ``y_i``
   and remove the column from ``H_i``.
 
-Both detectors return constellation point indices, which equal the
+The detector returns constellation point indices, which equal the
 integer values of the Gray labels.
 
 The loop itself is ``batched.recompute_indices_batch`` and the formula
 ``batched.nulling_batch``, the package's one recomputing OSIC loop and
 one nulling formula: :func:`vblast_detect` and :func:`nulling_matrix`
-run them on a batch of one and raise where the engine flags. Both names
-stay for the benchmark's bindings and the tests of their contract.
+run them on a batch of one and raise where the engine flags. Both names,
+and the ``inverse`` import, stay only for the benchmark's bindings and the
+tests of their contract.
 Cancellation removes the detected column physically (with an index map
 back to original stream order) rather than zeroing it: a zeroed column
 would make the deflated Gram matrix singular. The nulling matrix is
@@ -39,8 +40,6 @@ algorithm is specified to.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -52,15 +51,6 @@ from .modem import Constellation
 # Unused here: the benchmark's tracer wraps this module's ``inverse`` binding
 # (span ``linalg.inverse``) until its per-layer metrics stop reading it.
 from .linalg import inverse  # noqa: F401
-
-NULLING_CORES = ("zf", "mmse")
-
-# exhaustive-search guard for ml_candidates: at most 2**16 candidate vectors
-ML_MAX_SEARCH_BITS = 16
-
-
-class SearchSpaceError(ValueError):
-    """Raised when the ML search space exceeds the exhaustive-search bound."""
 
 
 def nulling_matrix(h, core: str, snr: SnrSpec):
@@ -104,18 +94,4 @@ def vblast_detect(h, y, core: str, iterations: int, snr: SnrSpec, c: Constellati
     if not ok[0]:
         raise RankDeficiencyError("a regularized Gram matrix of the deflated channel is singular")
     return indices[0], orders[0].tolist()
-
-
-def ml_candidates(n_t: int, c: Constellation) -> np.ndarray:
-    """All ``|C|**n_t`` candidate point-index vectors in lexicographic order.
-
-    ``batched.ml_indices_batch`` searches them exhaustively; on a tie the
-    lowest candidate wins.
-    """
-    m = len(c.points)
-    if n_t * c.bits_per_symbol > ML_MAX_SEARCH_BITS:
-        raise SearchSpaceError(
-            f"{m}**{n_t} candidates exceed the exhaustive bound of 2**{ML_MAX_SEARCH_BITS}"
-        )
-    return np.array(list(product(range(m), repeat=n_t)), dtype=np.int64)
 

@@ -83,7 +83,7 @@ from numbers import Integral
 import numpy as np
 
 from . import __version__
-from .batched import count_bit_errors, recompute_indices_batch, transmit_batch, vblast_indices_batch
+from .batched import NULLING_CORES, count_bit_errors, recompute_indices_batch, transmit_batch, vblast_indices_batch
 from .channel import (
     RNG_ALGORITHM,
     gen_channel_batch,
@@ -92,7 +92,6 @@ from .channel import (
     make_stream,
     random_bits,
 )
-from .detectors import NULLING_CORES
 from .linalg import RankDeficiencyError
 from .modem import Constellation, bits_to_indices, get_constellation
 from .policy import CalibrationTable, estimate_snr, feedback_detect, feedback_iters, formula_iters, n_imax
@@ -516,15 +515,16 @@ def calibrate(cfg: SweepConfig):
     """Measure the full (SNR, n_i) BER grid and derive required counts.
 
     Returns ``(table, derived, points)`` where ``derived`` lists, per SNR, the
-    smallest ``n_i`` in ``[1, n_imax]`` whose measured BER meets
-    ``cfg.target_ber`` (``n_imax`` when none does), and ``points`` is the
-    measured grid itself, ``n_i = 0 .. n_imax`` per SNR, whose ``capped``
-    flags the table does not carry.
+    count the feedback policy reads off the new table at that SNR,
+    ``policy.feedback_iters``: the smallest ``n_i`` in ``[1, n_imax]`` whose
+    measured BER meets ``cfg.target_ber`` (``n_imax`` when none does). The
+    BER is the table's, read as feedback reads it: through ``log10``, with
+    a zero-error cell counted as BER 1e-12. ``points`` is the measured grid
+    itself, ``n_i = 0 .. n_imax`` per SNR, whose ``capped`` flags the table
+    does not carry.
     """
     cfg.validate()
-    target = cfg.target_ber
-    nmax = n_imax(cfg.n_t)
-    points = run_ber_sweep(cfg, tuple(range(nmax + 1)))
+    points = run_ber_sweep(cfg, tuple(range(n_imax(cfg.n_t) + 1)))
 
     table = CalibrationTable(
         np.array([p.snr_db for p in points]),
@@ -537,19 +537,10 @@ def calibrate(cfg: SweepConfig):
             "nr": cfg.n_r,
             "core": cfg.core,
             "seed": cfg.seed,
-            "target": target,
+            "target": cfg.target_ber,
         },
     )
-
-    derived = []
-    for snr_db in cfg.snr_db_list:
-        by_n = {p.n_i: p.ber for p in points if p.snr_db == snr_db}
-        chosen = nmax
-        for n in range(1, nmax + 1):
-            if by_n[n] <= target:
-                chosen = n
-                break
-        derived.append((snr_db, chosen))
+    derived = [(snr_db, feedback_iters(snr_db, table, cfg.target_ber, cfg.n_t)) for snr_db in cfg.snr_db_list]
     return table, derived, points
 
 

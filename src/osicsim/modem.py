@@ -117,8 +117,9 @@ CONSTELLATIONS = {"qpsk": QPSK, "qam16": QAM16}
 
 
 def get_constellation(name: str) -> Constellation:
+    """The constellation spelled ``name``, exactly one of the keys of ``CONSTELLATIONS``."""
     try:
-        return CONSTELLATIONS[name.lower()]
+        return CONSTELLATIONS[name]
     except KeyError:
         raise ValueError(f"unknown modulation {name!r}, expected one of {sorted(CONSTELLATIONS)}") from None
 

@@ -12,15 +12,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from osicsim.batched import (
-    count_bit_errors,
-    ml_indices_batch,
-    transmit_batch,
-    vblast_indices_batch,
-)
+from oracles import ml_candidates, ml_indices_batch
+from osicsim.batched import count_bit_errors, transmit_batch, vblast_indices_batch
 from osicsim.channel import SnrSpec, gen_channel_batch, gen_noise_batch, link_snr, make_stream, random_bits
 from osicsim.cli import main as cli_main
-from osicsim.detectors import ml_candidates, nulling_matrix
+from osicsim.detectors import nulling_matrix
 from osicsim.harness import SweepConfig, bench_complexity, calibrate, compare_policies
 from osicsim.linalg import inverse
 from osicsim.modem import QAM16, QPSK, bits_to_indices, get_constellation

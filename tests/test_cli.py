@@ -71,7 +71,12 @@ class TestValidation:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "flags, named", [(["--policy", "feedback", "--iters", "3"], "--policy"), (["--iters", "3"], "--iters")]
+        "flags, named",
+        [
+            (["--policy", "feedback", "--iters", "3"], "--policy"),
+            (["--iters", "3"], "--iters"),
+            (["--calib", "table.csv"], "--calib"),
+        ],
     )
     def test_linear_detector_refuses_depth_flags(self, tmp_path, flags, named):
         res = CliRunner().invoke(
@@ -80,6 +85,18 @@ class TestValidation:
         )
         assert res.exit_code != 0
         assert named in res.output and "--detector zf" in res.output
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    @pytest.mark.parametrize("policy", ["fixed", "formula"])
+    def test_calib_only_with_feedback_policy(self, tmp_path, policy, source):
+        # only the feedback policy reads a table: any other run would record one it never read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("calib = /nonexistent.csv\n")
+        calib = ["--calib", "/nonexistent.csv"] if source == "flag" else ["--config", str(cfg)]
+        res = CliRunner().invoke(main, ["ber-sweep", *FAST, "--policy", policy, *calib, "--out", str(tmp_path / "o")])
+        assert res.exit_code != 0
+        assert "--calib" in res.output and f"--policy {policy}" in res.output
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config file"])

@@ -2,22 +2,20 @@
 
 Oracles used here and written independently of the implementation:
 a straight-line re-derivation of the 2x2 MMSE chain, a nested-loop
-exhaustive ML search, and numpy's own pinv for the high-SNR limit.
+exhaustive ML search, and numpy's own pinv for the high-SNR limit. The
+exhaustive ML search under test is the oracle of ``oracles.py``; its
+search bound and tie rule are tested in ``test_oracles.py``.
 """
 
 import numpy as np
 import pytest
 
-from osicsim.batched import count_bit_errors, ml_indices_batch, recompute_indices_batch
+from oracles import ml_candidates, ml_indices_batch, ml_search
+from osicsim.batched import count_bit_errors, recompute_indices_batch
 from osicsim.channel import SnrSpec, gen_channel_batch, gen_noise_batch, make_stream
-from osicsim.detectors import (
-    SearchSpaceError,
-    ml_candidates,
-    nulling_matrix,
-    vblast_detect,
-)
+from osicsim.detectors import nulling_matrix, vblast_detect
 from osicsim.linalg import RankDeficiencyError
-from osicsim.modem import QAM16, QPSK, slice_indices
+from osicsim.modem import QPSK, slice_indices
 
 # QPSK labels 00 and 11: the points (1+1j)/sqrt(2) and (-1-1j)/sqrt(2)
 IDX_00_11 = np.array([0, 3])
@@ -42,12 +40,6 @@ def draw_one_at_a_time(stream_seed, bit_seed, n_vec, n, snr):
         ys.append(h @ QPSK.points[idx] + noise)
         idxs.append(idx)
     return np.stack(hs), np.stack(ys), np.stack(idxs)
-
-
-def ml_search(h, y, c):
-    """Exhaustive ML detection of one vector: a batch of one through ``ml_indices_batch``."""
-    h, y = np.asarray(h, dtype=np.complex128), np.asarray(y, dtype=np.complex128)
-    return ml_indices_batch(h[None], y[None], ml_candidates(h.shape[1], c), c)[0]
 
 
 class TestNullingMatrix:
@@ -258,14 +250,6 @@ class TestMlDetect:
                     if m < best_m:
                         best, best_m = [i0, i1], m
             assert ml_search(h, y, QPSK).tolist() == best
-
-    def test_tie_goes_to_lowest_candidate(self):
-        # y = 0 with the identity channel: all QPSK candidates are equidistant
-        assert ml_search(np.eye(2), np.zeros(2), QPSK).tolist() == [0, 0]
-
-    def test_search_space_guard(self):
-        with pytest.raises(SearchSpaceError):
-            ml_search(np.eye(8), np.zeros(8), QAM16)  # 8 * 4 = 32 bits > 16
 
 
 class TestOracleDominance:

@@ -90,6 +90,8 @@ class TestSweepConfig:
             small_cfg(core="dfe").validate()
         with pytest.raises(ConfigError, match="modulation"):
             small_cfg(modulation="qam64").validate()
+        with pytest.raises(ConfigError, match="modulation"):
+            small_cfg(modulation="QPSK").validate()  # a table would record mod=QPSK, which no qpsk run accepts
         with pytest.raises(ConfigError, match="duplicate"):
             small_cfg(snr_db_list=(8.0, 12.0, 8.0)).validate()
         with pytest.raises(ConfigError, match="duplicate"):
@@ -397,6 +399,20 @@ class TestCalibrate:
         # derived counts live in [1, n_imax]
         for _, n in derived:
             assert 1 <= n <= 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_derived_counts_between_one_and_n_imax(self, seed):
+        # 8x8 16-QAM, n_imax = 4: no count meets the target at 16 dB, and the
+        # grid crosses it at n_i = 3 and n_i = 2 at the two higher points
+        cfg = SweepConfig(
+            n_t=8, n_r=8, modulation="qam16", subcarriers=8, snr_db_list=(16.0, 22.75, 25.0), seed=seed
+        )
+        _, derived, points = calibrate(cfg)
+        assert derived == [(16.0, 4), (22.75, 3), (25.0, 2)]
+        ber = {(p.snr_db, p.n_i): p.ber for p in points}
+        for snr_db, n in derived:
+            assert all(ber[snr_db, m] > cfg.target_ber for m in range(1, n))
+            assert n == 4 or ber[snr_db, n] <= cfg.target_ber
 
     def test_accept_anything_target_gives_one(self):
         cfg = small_cfg(n_t=4, n_r=4, snr_db_list=(8.0,), target_ber=0.49)

@@ -22,7 +22,7 @@ Usage, from the repository root:
 Prints each difference, then on every exit a summary of what it
 compared: runs, files, reruns and help texts, so a run that stopped early
 shows. Exits 1 if there is any difference, else 0. A full check takes
-about 35 s on two cores.
+about 40 s on two cores.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ RUNS = [
     ("ber-sweep-feedback", ["ber-sweep", *FAST, "--policy", "feedback", "--calib", TABLE]),
     ("iter-sweep", ["iter-sweep", *FAST, "--emit-plot"]),
     ("calibrate", ["calibrate", *FAST, "--emit-plot"]),
+    # derives a count between 1 and n_imax at 22.75 and 25 dB; the 4x4 run derives n_imax at both points
+    ("calibrate-8x8", ["calibrate", *POLICY_8X8]),
     ("compare", ["compare", *FAST, "--calib", TABLE, "--emit-plot"]),
     ("bench", ["bench", *FAST, "--calib", TABLE, "--bench-detections", "100"]),
     ("bench-8x8", ["bench", *POLICY_8X8, "--calib", CALIB_8X8, "--bench-detections", "100"]),
