@@ -8,7 +8,8 @@ of hours. The Gauss-Jordan inverse, :func:`inverse_batch`, belongs to
 ``detectors.vblast_detect``, is a batch-of-one view of these kernels,
 kept for the benchmark's bindings and the tests of its contract; it has
 no loop of its own. The feedback receiver, ``policy.feedback_detect``,
-restarts :func:`recompute_indices_batch` once per candidate count.
+restarts :func:`recompute_indices_batch` at each count up to the one
+the table resolved.
 
 The cores, ``NULLING_CORES``, share one nulling formula, written once in
 :func:`nulling_batch`: the regularized Gram inverse

@@ -27,9 +27,10 @@ resolved configuration, tool, python and numpy versions, the machine and
 the RNG scheme, plus the absolute path and SHA-256 of any calibration
 table the run read; ``rerun`` replays a manifest from any directory,
 refuses a manifest whose RNG scheme is not this build's, a calibration
-table whose hash has changed or a key the command does not read set away
-from its default, and reproduces every non-timing output byte for the
-same numpy build.
+table whose hash has changed, a calibration record without a table in
+the config or the other way round, or a key the command does not read
+set away from its default, and reproduces every non-timing output byte
+for the same numpy build.
 """
 
 from __future__ import annotations
@@ -477,6 +478,10 @@ def rerun(manifest, out):
         )
     resolved = _manifest_config(config, manifest, command)
     calib = data.get("calib")
+    if (calib is None) == bool(resolved["calib"]):  # a record comes with the table the config names, and only then
+        raise click.ClickException(
+            f"{manifest}: config calib {resolved['calib']!r} does not match the manifest's calibration record {calib!r}"
+        )
     if calib is not None:
         try:
             path, recorded = Path(calib["path"]), calib["sha256"]

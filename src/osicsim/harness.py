@@ -54,9 +54,9 @@ deflated channel afresh at every iteration, as the paper's receiver does;
 the sweep engine's downdating loop would hide the cost of deeper
 truncation. Each (variant, SNR) cell keeps the fastest of
 ``BENCH_REPEATS`` timings of one batch and divides it by the batch size.
-The feedback variant is ``policy.feedback_detect``, which runs a full
-pass at each candidate depth ``m = 1, 2, ...`` with one table lookup
-after each pass, and therefore pays for its restarts. Benchmarking always
+The feedback variant is ``policy.feedback_detect`` at the count the
+point's estimate resolves to, which runs a full pass at each depth
+``1 .. n_i`` and therefore pays for its restarts. Benchmarking always
 runs single-worker to keep the timer quiet.
 
 Memory
@@ -446,13 +446,13 @@ def _iterations(depth, cfg: SweepConfig, est_db: float, table: CalibrationTable 
 
 
 def _resolve_depths(cfg: SweepConfig, depths: tuple, table: CalibrationTable | None) -> list[tuple]:
-    """``(snr_db, est_db, variants)`` per SNR point, one ``_Variant`` per entry of ``depths``.
+    """``(snr_db, variants)`` per SNR point, one ``_Variant`` per entry of ``depths``.
 
     Checks ``cfg`` and ``depths`` first: a count must be an integer, not
     a bool, in ``[0, n_t - 1]``, a name must be one ``_iterations``
     resolves, and ``feedback`` needs a ``table`` made for this system. A
     count is tagged ``fixed``, a name with itself. A point's SNR estimate
-    is made only where a policy reads it; ``est_db`` is None elsewhere.
+    is made only where a policy reads it.
     """
     cfg.validate()
     for d in depths:
@@ -466,7 +466,7 @@ def _resolve_depths(cfg: SweepConfig, depths: tuple, table: CalibrationTable | N
     if "feedback" in depths:
         if table is None:
             raise ConfigError("feedback policy requires a calibration table")
-        table.validate_for(cfg.modulation, cfg.n_t, cfg.core)
+        table.validate_for(cfg.modulation, cfg.n_t, cfg.n_r, cfg.core)
     reads_estimate = any(d in POLICIES for d in depths)
     points = []
     for pi, snr_db in enumerate(cfg.snr_db_list):
@@ -474,7 +474,7 @@ def _resolve_depths(cfg: SweepConfig, depths: tuple, table: CalibrationTable | N
         variants = tuple(
             _Variant(d if isinstance(d, str) else "fixed", _iterations(d, cfg, est_db, table)) for d in depths
         )
-        points.append((snr_db, est_db, variants))
+        points.append((snr_db, variants))
     return points
 
 
@@ -496,7 +496,7 @@ def run_ber_sweep(cfg: SweepConfig, depths=None, *, table: CalibrationTable | No
     """
     depths = (cfg.n_t - 1,) if depths is None else tuple(depths)
     cells = []
-    for snr_db, _, variants in _resolve_depths(cfg, depths, table):
+    for snr_db, variants in _resolve_depths(cfg, depths, table):
         for v in variants:
             cells.append(_Cell(snr_db, len(cells) + 1, (v,)))
     return _run_cells(cfg, cells)
@@ -551,7 +551,7 @@ def compare_policies(cfg: SweepConfig, table: CalibrationTable) -> list[BerPoint
     same channel, bits and noise), so the emitted curves are paired.
     """
     points = _resolve_depths(cfg, COMPARE_VARIANTS, table)
-    cells = [_Cell(snr_db, pi + 1, variants) for pi, (snr_db, _, variants) in enumerate(points)]
+    cells = [_Cell(snr_db, pi + 1, variants) for pi, (snr_db, variants) in enumerate(points)]
     return _run_cells(cfg, cells)
 
 
@@ -598,27 +598,19 @@ def bench_complexity(cfg: SweepConfig, table: CalibrationTable) -> BenchReport:
     c = get_constellation(cfg.modulation)
     warm = BENCH_WARMUP_CALLS
     rows = [None] * (len(BENCH_VARIANTS) * len(points))
-    for pi, (snr_db, est_db, variants) in enumerate(points):
+    for pi, (snr_db, variants) in enumerate(points):
         link = link_snr(snr_db, cfg.n_t)
         for k, v in enumerate(variants):
             cell = k * len(points) + pi  # variant-major, as rows and stream ids are
             rng = make_stream(cfg.seed, _PILOT_STREAM_BASE // 2 + cell + 1)
             h, tx_idx, _, y = _draw(cfg, c, warm + cfg.bench_detections, link.noise_var, rng)
-
-            def detect(hb, yb):
-                """Indices and validity of one batch; feedback restarts a pass per candidate depth."""
-                if v.tag == "feedback":
-                    indices, ok, _ = feedback_detect(hb, yb, cfg.core, link, c, table, cfg.target_ber, est_db)
-                else:
-                    indices, _, ok = recompute_indices_batch(hb, yb, cfg.core, v.n_i, link, c)
-                return indices, ok
-
-            _, ok_warm = detect(h[:warm], y[:warm])
+            receive = feedback_detect if v.tag == "feedback" else recompute_indices_batch
+            _, _, ok_warm = receive(h[:warm], y[:warm], cfg.core, v.n_i, link, c)
             h, y = h[warm:], y[warm:]
             times = []
             for _ in range(BENCH_REPEATS):
                 t0 = time.perf_counter_ns()
-                rx_idx, ok = detect(h, y)
+                rx_idx, _, ok = receive(h, y, cfg.core, v.n_i, link, c)
                 times.append(time.perf_counter_ns() - t0)
             if not (ok_warm.all() and ok.all()):
                 raise RankDeficiencyError(f"bench cell {v.tag} at {snr_db:g} dB drew a channel it cannot invert")
@@ -666,8 +658,8 @@ def _meta_lines(cfg: SweepConfig, command: str, extra: dict | None = None) -> li
     return ["# " + " ".join(f"{k}={v}" for k, v in kv.items())]
 
 
-def format_ber_csv(points: list[BerPoint], cfg: SweepConfig, command: str, extra: dict | None = None) -> str:
-    lines = _meta_lines(cfg, command, extra)
+def format_ber_csv(points: list[BerPoint], cfg: SweepConfig, command: str) -> str:
+    lines = _meta_lines(cfg, command)
     lines.append("snr_db,n_i,policy,bit_errors,total_bits,ber,mean_detect_ns")
     for p in points:
         lines.append(

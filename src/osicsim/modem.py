@@ -8,14 +8,16 @@ modulation is ``c.points[bits_to_indices(bits, c)]``, detection returns
 indices from :func:`slice_indices`, and the Hamming distance between two
 labels is the popcount of the XOR of their indices.
 
-Fixed labelings:
+Fixed labelings, both built by one square-QAM builder from the per-axis
+levels in label order; the high half of a label picks the in-phase level
+and the low half the quadrature level:
 
-* QPSK: bits ``b1 b0`` map to ``((1 - 2*b1) + (1 - 2*b0) * 1j) / sqrt(2)``,
-  i.e. ``00 -> (+1+1j)/sqrt(2)``, ``01 -> (+1-1j)/sqrt(2)``,
+* QPSK: one bit per axis, ``{0: +1, 1: -1} / sqrt(2)``, so bits ``b1 b0``
+  map to ``((1 - 2*b1) + (1 - 2*b0) * 1j) / sqrt(2)``, i.e.
+  ``00 -> (+1+1j)/sqrt(2)``, ``01 -> (+1-1j)/sqrt(2)``,
   ``10 -> (-1+1j)/sqrt(2)``, ``11 -> (-1-1j)/sqrt(2)``.
-* 16-QAM: independent per-axis 2-bit Gray map
-  ``{00: -3, 01: -1, 11: +1, 10: +3} / sqrt(10)``; the in-phase level comes
-  from the high bit pair and the quadrature level from the low pair.
+* 16-QAM: a 2-bit Gray map per axis,
+  ``{00: -3, 01: -1, 11: +1, 10: +3} / sqrt(10)``.
 
 Both constellations are square grids, so the nearest point is the
 nearest level on each axis: the squared distance is a sum of one real and
@@ -40,10 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# Per-axis Gray code for 16-QAM: adjacent levels differ in one bit.
-_GRAY_PAIR_LEVELS = {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}
-
 
 @dataclass(frozen=True)
 class Constellation:
@@ -92,26 +90,19 @@ def _slicing_grid(points: np.ndarray) -> tuple:
     return _thresholds(re, table[:, 0]), _thresholds(im, table[0]), table
 
 
-def _make_qpsk() -> Constellation:
-    pts = np.zeros(4, dtype=np.complex128)
-    for idx in range(4):
-        b1, b0 = (idx >> 1) & 1, idx & 1
-        pts[idx] = ((1 - 2 * b1) + (1 - 2 * b0) * 1j) / np.sqrt(2.0)
-    return Constellation("qpsk", pts, 2)
+def _square_qam(name: str, levels: np.ndarray) -> Constellation:
+    """Square QAM from its per-axis ``levels`` in label order.
+
+    The high half of a label picks the in-phase level, the low half the
+    quadrature level.
+    """
+    m = len(levels)
+    idx = np.arange(m * m)
+    return Constellation(name, levels[idx // m] + 1j * levels[idx % m], 2 * (m.bit_length() - 1))
 
 
-def _make_qam16() -> Constellation:
-    pts = np.zeros(16, dtype=np.complex128)
-    for idx in range(16):
-        b3, b2, b1, b0 = (idx >> 3) & 1, (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
-        i_level = _GRAY_PAIR_LEVELS[(b3, b2)]
-        q_level = _GRAY_PAIR_LEVELS[(b1, b0)]
-        pts[idx] = (i_level + 1j * q_level) / np.sqrt(10.0)
-    return Constellation("qam16", pts, 4)
-
-
-QPSK = _make_qpsk()
-QAM16 = _make_qam16()
+QPSK = _square_qam("qpsk", np.array([1.0, -1.0]) / np.sqrt(2.0))
+QAM16 = _square_qam("qam16", np.array([-3.0, -1.0, 3.0, 1.0]) / np.sqrt(10.0))
 
 CONSTELLATIONS = {"qpsk": QPSK, "qam16": QAM16}
 

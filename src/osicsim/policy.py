@@ -21,13 +21,13 @@ plain arguments; the harness resolves every detection depth of a run in
 one place (``harness._iterations``), once per SNR operating point, with
 the target from ``SweepConfig.target_ber``.
 
-``feedback_detect`` is the feedback receiver on a batch of vectors: each
-candidate count runs a fresh truncated detection pass
-(``batched.recompute_indices_batch``; the nulling/slicing/cancellation
-loop restarts, as the flowchart's re-entry implies), followed by one
-table lookup and branch. The detected output equals a single pass at the
-accepted count; only the cost differs. The complexity benchmark times it
-as the feedback variant (``harness.bench_complexity``).
+``feedback_detect`` is the feedback receiver on a batch of vectors, at
+the count ``feedback_iters`` resolved: each count ``1 .. n`` runs a fresh
+truncated detection pass (``batched.recompute_indices_batch``; the
+nulling/slicing/cancellation loop restarts, as the flowchart's re-entry
+implies). The detected output equals a single pass at ``n``; only the
+cost differs. The complexity benchmark times it as the feedback variant
+(``harness.bench_complexity``).
 """
 
 from __future__ import annotations
@@ -131,32 +131,33 @@ class CalibrationTable:
         order = np.argsort(self.snr_db[mask])
         return self.snr_db[mask][order], self.ber[mask][order]
 
+    def _log_ber(self, snr_db: float, n: int) -> float:
+        snrs, bers = self._curve(n)
+        return float(np.interp(snr_db, snrs, np.log10(np.maximum(bers, _LOG_BER_FLOOR))))
+
     def interp_ber(self, snr_db: float, n: int) -> float:
         """BER at ``snr_db`` for ``n`` iterations, log-linear between rows.
 
         ``snr_db`` must lie inside the table's SNR span; range handling is
         the caller's job (see :func:`feedback_iters`).
         """
-        snrs, bers = self._curve(n)
-        logs = np.log10(np.maximum(bers, _LOG_BER_FLOOR))
-        return float(10.0 ** np.interp(snr_db, snrs, logs))
+        return 10.0 ** self._log_ber(snr_db, n)
 
     def meets_target(self, snr_db: float, n: int, target_ber: float) -> bool:
         """Whether ``n`` iterations reach ``target_ber`` at ``snr_db``.
 
         Below the table's SNR span nothing qualifies; above it everything
-        does. This is the single predicate both the planner
-        (:func:`feedback_iters`) and the in-loop detector
-        (:func:`feedback_detect`) consult, so the two always agree.
+        does. The comparison is made in ``log10``, where the table is
+        interpolated, so a row exactly at the target meets it.
         """
         if snr_db < self.snr_db.min():
             return False
         if snr_db > self.snr_db.max():
             return True
-        return self.interp_ber(snr_db, n) <= target_ber
+        return self._log_ber(snr_db, n) <= math.log10(target_ber)
 
-    def validate_for(self, mod: str, nt: int, core: str) -> None:
-        for key, want in (("mod", mod), ("nt", nt), ("core", core)):
+    def validate_for(self, mod: str, nt: int, nr: int, core: str) -> None:
+        for key, want in (("mod", mod), ("nt", nt), ("nr", nr), ("core", core)):
             have = self.meta.get(key)
             if have is None or str(have) != str(want):
                 raise CalibrationError(
@@ -254,29 +255,22 @@ def estimate_snr(y_pilot, h, x_pilot) -> float:
     return min(SNR_ESTIMATE_CAP_DB, -10.0 * math.log10(noise_var))
 
 
-def feedback_detect(
-    h, y, core: str, snr, c, table: CalibrationTable, target_ber: float, est_snr_db: float
-) -> tuple[np.ndarray, np.ndarray, int]:
+def feedback_detect(h, y, core: str, iterations: int, snr, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Detect a batch ``h`` ``(B, n_r, n_t)``, ``y`` ``(B, n_r)`` the way the feedback receiver does.
 
-    Runs a fresh truncated V-BLAST pass (``recompute_indices_batch``) at
-    each candidate count ``m = 1, 2, ...`` and after each pass performs
-    one table lookup and branch; stops at the first count that meets the
-    target at ``est_snr_db``, or at ``n_imax``. Returns ``(indices, ok, m)``
-    of the last pass, so the output is identical to a single pass at the
-    accepted count, which equals :func:`feedback_iters`. The restarts
-    model (and are charged for) the feedback algorithm's repeated
+    Takes :func:`~osicsim.batched.recompute_indices_batch`'s arguments and
+    returns its ``(indices, orders, ok)``, for ``iterations`` the count
+    :func:`feedback_iters` resolved. It runs a fresh truncated V-BLAST pass
+    at each count ``1 .. iterations`` and returns the last, so the output
+    is that of a single pass at ``iterations``. The restarts model (and
+    are charged for) the feedback algorithm's repeated
     nulling/slicing/cancellation work, which is what makes it costlier
-    than ordinary V-BLAST at low SNR. With one transmit antenna there is
-    no candidate count: one linear pass runs and ``m`` is 0.
+    than ordinary V-BLAST at low SNR. At ``iterations`` 0 (one transmit
+    antenna, so ``n_imax`` is 0) one linear pass runs.
     """
-    nmax = n_imax(np.shape(h)[-1])
-    for m in range(1, nmax + 1):
-        indices, _, ok = recompute_indices_batch(h, y, core, m, snr, c)
-        if table.meets_target(est_snr_db, m, target_ber) or m == nmax:
-            return indices, ok, m
-    indices, _, ok = recompute_indices_batch(h, y, core, 0, snr, c)
-    return indices, ok, 0
+    for m in range(min(1, iterations), iterations + 1):
+        out = recompute_indices_batch(h, y, core, m, snr, c)
+    return out
 
 
 # Only ``bench/make_reference.py`` still names these two; they go when the

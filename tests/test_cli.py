@@ -604,6 +604,31 @@ class TestBoundaryInputs:
         assert recorded in res.output and "(seed, stream)" in res.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, record, config_calib",
+        [("iter-sweep", True, False), ("compare", False, True)],
+        ids=["record-for-a-command-without-table", "table-without-record"],
+    )
+    def test_rerun_refuses_calib_record_that_does_not_match_config(
+        self, tmp_path, valid_manifest, command, record, config_calib
+    ):
+        # iter-sweep reads no table, so no run of it writes a record; a compare
+        # manifest without its record would replay against whatever the file holds
+        table = tmp_path / "table.csv"
+        TestManifestRerun._write_table(table, [2e-2, 5e-3, 1e-3, 1e-4])
+        data = json.loads(json.dumps(valid_manifest))
+        data["command"] = command
+        if record:
+            data["calib"] = {"path": str(table), "sha256": hashlib.sha256(table.read_bytes()).hexdigest()}
+        if config_calib:
+            data["config"]["calib"] = str(table)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(data))
+        res = CliRunner().invoke(main, ["rerun", str(manifest), "--out", str(tmp_path / "o")])
+        assert res.exit_code != 0
+        assert "does not match the manifest's calibration record" in res.output
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_records_versions_and_machine(self, valid_manifest):
         import platform
 

@@ -56,6 +56,18 @@ class TestConstellations:
     def test_points_distinct(self, c):
         assert len(np.unique(c.points)) == len(c.points)
 
+    def test_qpsk_points_pinned_to_labelling_formula(self):
+        # byte for byte: bits b1 b0 -> ((1 - 2 b1) + (1 - 2 b0) j) / sqrt(2)
+        want = [complex((1 - 2 * (i >> 1)) / np.sqrt(2.0), (1 - 2 * (i & 1)) / np.sqrt(2.0)) for i in range(4)]
+        assert QPSK.points.tobytes() == np.array(want).tobytes()
+
+    def test_qam16_points_pinned_to_labelling_formula(self):
+        # byte for byte: per-axis Gray map {00: -3, 01: -1, 11: +1, 10: +3} / sqrt(10),
+        # in-phase level from the high bit pair, quadrature level from the low pair
+        gray = {0b00: -3.0, 0b01: -1.0, 0b11: 1.0, 0b10: 3.0}
+        want = [complex(gray[i >> 2] / np.sqrt(10.0), gray[i & 3] / np.sqrt(10.0)) for i in range(16)]
+        assert QAM16.points.tobytes() == np.array(want).tobytes()
+
     def test_lookup_by_name(self):
         assert get_constellation("qpsk") is QPSK
         assert get_constellation("qam16") is QAM16

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from osicsim.batched import recompute_indices_batch
 from osicsim.channel import SnrSpec, complex_normal, gen_channel_batch, make_stream
 from osicsim.harness import ConfigError, SweepConfig, _iterations, run_ber_sweep
+from osicsim import policy
 from osicsim.modem import QAM16
 from osicsim.policy import (
     SNR_ESTIMATE_CAP_DB,
@@ -168,20 +169,22 @@ class TestCalibrationTable:
         path = Path(__file__).resolve().parent.parent / "bench" / "calib_8x8_qam16.csv"
         t = CalibrationTable.load_csv(path)
         assert len(t.snr_db) == 20
-        t.validate_for("qam16", 8, "mmse")
+        t.validate_for("qam16", 8, 8, "mmse")
 
     def test_validate_for_mismatch(self):
         t = synthetic_table()
-        t.validate_for("qam16", 8, "mmse")
+        t.validate_for("qam16", 8, 8, "mmse")
         with pytest.raises(CalibrationError, match="mod"):
-            t.validate_for("qpsk", 8, "mmse")
+            t.validate_for("qpsk", 8, 8, "mmse")
+        with pytest.raises(CalibrationError, match="nr"):
+            t.validate_for("qam16", 8, 12, "mmse")
         with pytest.raises(CalibrationError, match="core"):
-            t.validate_for("qam16", 8, "zf")
+            t.validate_for("qam16", 8, 8, "zf")
 
     def test_validate_for_coverage(self):
         t = synthetic_table(nmax=2)  # covers n_i 0..2 only
         with pytest.raises(CalibrationError, match="covers"):
-            t.validate_for("qam16", 8, "mmse")
+            t.validate_for("qam16", 8, 8, "mmse")
 
     def test_validate_for_refuses_ragged_curves(self):
         # the n_i = 2 curve stops at 20 dB: interp_ber would read its 20 dB
@@ -192,18 +195,18 @@ class TestCalibrationTable:
             {"mod": "qpsk", "nt": 4, "nr": 4, "core": "mmse"},
         )
         with pytest.raises(CalibrationError, match=r"no n_i = 2 row at snr_db 30, which it holds for other n_i"):
-            t.validate_for("qpsk", 4, "mmse")
+            t.validate_for("qpsk", 4, 4, "mmse")
 
     def test_validate_for_names_every_missing_snr(self):
         t = synthetic_table(snrs=(16.0, 22.5, 25.0, 34.0))
         keep = ~((t.n_i == 3) & np.isin(t.snr_db, (16.0, 22.5)))
         t = CalibrationTable(t.snr_db[keep], t.n_i[keep], t.ber[keep], t.symbols[keep], t.meta)
         with pytest.raises(CalibrationError, match=r"no n_i = 3 row at snr_db 16, 22\.5,"):
-            t.validate_for("qam16", 8, "mmse")
+            t.validate_for("qam16", 8, 8, "mmse")
         t = synthetic_table()
         keep = ~((t.n_i == 0) & (t.snr_db == 16.0))  # no run reads n_i = 0 rows
         CalibrationTable(t.snr_db[keep], t.n_i[keep], t.ber[keep], t.symbols[keep], t.meta).validate_for(
-            "qam16", 8, "mmse")
+            "qam16", 8, 8, "mmse")
 
     def test_interpolation_log_domain(self):
         t = synthetic_table()
@@ -260,6 +263,18 @@ class TestFeedbackIters:
         with pytest.raises(ValueError):
             feedback_iters(float("nan"), synthetic_table(), 1e-2, 8)
 
+    @pytest.mark.parametrize("target", [0.02, 0.005])
+    def test_row_exactly_at_target_meets_it(self, target):
+        # 10 ** log10(0.02) is 0.020000000000000004 (0.005 rounds the other way):
+        # the comparison is made in log10, where the table is interpolated
+        t = CalibrationTable(
+            np.array([10.0, 10.0, 20.0, 20.0]), np.array([1, 2, 1, 2]),
+            np.array([target, target / 4, target / 10, target / 40]), np.array([10_000] * 4),
+            {"mod": "qpsk", "nt": 4, "nr": 4, "core": "mmse"},
+        )
+        assert t.meets_target(10.0, 1, target)
+        assert feedback_iters(10.0, t, target, 4) == 1
+
 
 class TestEstimateSnr:
     def test_noiseless_pilots_capped(self):
@@ -294,28 +309,50 @@ class TestEstimateSnr:
 
 
 class TestFeedbackDetect:
-    def test_matches_planned_count_and_single_pass(self):
+    @staticmethod
+    def recording(monkeypatch):
+        """The counts of the passes ``feedback_detect`` runs, in order."""
+        depths = []
+
+        def recording(h, y, core, iterations, snr, c):
+            depths.append(iterations)
+            return recompute_indices_batch(h, y, core, iterations, snr, c)
+
+        monkeypatch.setattr(policy, "recompute_indices_batch", recording)
+        return depths
+
+    def test_matches_planned_count_and_single_pass(self, monkeypatch):
+        # passes run at 1 .. m, and the output is the single pass at m = feedback_iters(...)
         t = synthetic_table(snrs=tuple(np.arange(14.0, 36.1, 2.0)))
         rng = make_stream(79, 0)
         snr = SnrSpec(15.0)
         h = gen_channel_batch(64, 8, 8, rng)
         x = QAM16.points[np.random.default_rng(3).integers(0, 16, (64, 8))]
         y = np.einsum("bij,bj->bi", h, x) + complex_normal(rng, (64, 8), snr.noise_var)
-        for est_db in (14.0, 18.0, 24.0, 30.0, 35.9):
-            indices, ok, m = feedback_detect(h, y, "mmse", snr, QAM16, t, 1e-2, est_db)
-            assert m == feedback_iters(est_db, t, 1e-2, 8)
-            single, _, single_ok = recompute_indices_batch(h, y, "mmse", m, snr, QAM16)
-            assert np.array_equal(indices, single)
-            assert np.array_equal(ok, single_ok)
+        depths = self.recording(monkeypatch)
+        planned = []
+        for est_db in (14.0, 18.0, 20.0, 24.0, 35.9):
+            m = feedback_iters(est_db, t, 1e-2, 8)
+            planned.append(m)
+            depths.clear()
+            got = feedback_detect(h, y, "mmse", m, snr, QAM16)
+            assert depths == list(range(1, m + 1))
+            for a, b in zip(got, recompute_indices_batch(h, y, "mmse", m, snr, QAM16), strict=True):
+                assert np.array_equal(a, b)
+        assert planned == [4, 3, 2, 1, 1]
 
-    def test_single_antenna_runs_one_linear_pass(self):
+    def test_single_antenna_runs_one_linear_pass(self, monkeypatch):
         rng = make_stream(80, 0)
         snr = SnrSpec(10.0)
         h = gen_channel_batch(16, 2, 1, rng)
         y = h[:, :, 0] * QAM16.points[3] + complex_normal(rng, (16, 2), snr.noise_var)
-        indices, ok, m = feedback_detect(h, y, "zf", snr, QAM16, synthetic_table(), 1e-2, 20.0)
+        m = feedback_iters(20.0, synthetic_table(), 1e-2, 1)
         assert m == 0
+        depths = self.recording(monkeypatch)
+        indices, orders, ok = feedback_detect(h, y, "zf", m, snr, QAM16)
+        assert depths == [0]
         assert np.array_equal(indices, recompute_indices_batch(h, y, "zf", 0, snr, QAM16)[0])
+        assert orders.shape == (16, 0)
         assert ok.all()
 
 
