@@ -19,7 +19,8 @@ declare their own. The flags are generated from ``OPTIONS``;
 config-file values and a manifest's config are checked against the same
 types and choices by ``_coerce``, so an unknown key, a value of the wrong
 type or one outside its choices is refused wherever it comes from. A config file may set only the keys its command
-reads: the common keys plus the command's ``COMMANDS[...].extra``.
+reads: the common keys plus the command's ``COMMANDS[...].extra``,
+each at most once.
 Configuration precedence is CLI flag > config-file key > built-in
 default. Config files are flat ``key = value`` text.
 Every data-producing run writes a JSON manifest recording the fully
@@ -31,6 +32,16 @@ table whose hash has changed, a calibration record without a table in
 the config or the other way round, or a key the command does not read
 set away from its default, and reproduces every non-timing output byte
 for the same numpy build.
+
+This module writes the text of every output file; the harness only
+computes. One writer, ``_csv``, makes the BER CSV (``ber-sweep``,
+``iter-sweep``, ``compare``), ``bench.csv``, ``bench_summary.csv``,
+``calibrate_derived.csv`` and the plot file, each a ``# key=value``
+header line (the plot file has none), a column line and the rows. Every
+``snr_db`` value is written by ``policy._snr_text``, which keeps two SNRs
+apart however close they are. The calibration table (``calibrate.csv``)
+is ``CalibrationTable.to_csv``, next to ``load_csv``, since it is the one
+output the program reads back.
 """
 
 from __future__ import annotations
@@ -48,23 +59,19 @@ import numpy as np
 
 from . import __version__
 from .batched import NULLING_CORES
-from .channel import RNG_SCHEME
+from .channel import RNG_ALGORITHM, RNG_SCHEME
 from .harness import (
     POLICIES,
     SNR_ESTIMATORS,
     SweepConfig,
-    _machine_note,
     bench_complexity,
     calibrate,
     compare_policies,
-    format_bench_csv,
-    format_bench_summary_csv,
-    format_ber_csv,
     run_ber_sweep,
     run_linear_sweep,
 )
 from .modem import CONSTELLATIONS
-from .policy import CalibrationTable, formula_iters
+from .policy import CalibrationTable, _snr_text, formula_iters
 
 
 class Option(NamedTuple):
@@ -169,9 +176,9 @@ def _reads(command: str) -> set[str]:
 
 
 def _parse_config_file(path: str, command: str) -> dict:
-    """The ``key = value`` lines of ``path``, each key one that ``command`` reads."""
+    """The ``key = value`` lines of ``path``, each key one that ``command`` reads, set once."""
     reads = _reads(command)
-    values = {}
+    values, set_on = {}, {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -185,7 +192,10 @@ def _parse_config_file(path: str, command: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in OPTIONS and key not in reads:
             raise click.UsageError(f"{path}:{ln}: {command} does not read config key {key!r}")
+        if key in set_on:
+            raise click.UsageError(f"{path}:{ln}: config key {key!r} is set again; line {set_on[key]} set it first")
         values[key] = _coerce(key, value, f"{path}:{ln}")
+        set_on[key] = ln
     return values
 
 
@@ -245,6 +255,52 @@ def _load_table(resolved: dict) -> tuple[CalibrationTable, dict]:
     return CalibrationTable.load_csv(path), record
 
 
+def _machine_note() -> str:
+    """OS, architecture, CPU model and python version, for manifests and bench CSVs.
+
+    The CPU model comes from ``/proc/cpuinfo`` where it names one;
+    ``platform.processor()`` is asked only otherwise, because on Linux it
+    forks the interpreter to run ``uname -p``.
+    """
+    cpu = None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.lower().startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    cpu = cpu or platform.processor() or "unknown-cpu"
+    return f"{platform.system()} {platform.machine()} | {cpu} | python {platform.python_version()}"
+
+
+def _csv(header: dict | None, columns: str, rows) -> str:
+    """CSV text: ``header`` as one ``# key=value ...`` line (none if empty), the ``columns`` line, one line per row."""
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in header.items())] if header else []
+    lines.append(columns)
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _meta(cfg: SweepConfig, command: str) -> dict:
+    """The header of a BER or bench CSV: the tool, the command and what fixes its counts."""
+    return {
+        "tool": f"osicsim-{__version__}",
+        "cmd": command,
+        "mod": cfg.modulation,
+        "nt": cfg.n_t,
+        "nr": cfg.n_r,
+        "core": cfg.core,
+        "k": cfg.subcarriers,
+        "seed": cfg.seed,
+        "min_symbols": cfg.min_symbols,
+        "min_errors": cfg.min_errors,
+        "workers": cfg.workers,
+        "rng": RNG_ALGORITHM,
+    }
+
+
 def _write_manifest(
     out_dir: Path, command: str, resolved: dict, outputs: list[str], calib: dict | None
 ) -> Path:
@@ -268,15 +324,11 @@ def _write_manifest(
     return path
 
 
-def _write_plot_file(out_dir: Path, command: str, resolved: dict, rows) -> str:
+def _plot_csv(command: str, nt: int, rows) -> str:
     """Long-format plot data: one (figure, series, snr_db, ber) row per point."""
-    preset = _PLOT_PRESETS.get(command, {}).get(resolved["nt"], f"{command.replace('-', '_')}_custom")
-    name = f"{command.replace('-', '_')}_plot.csv"
-    lines = ["figure,series,snr_db,ber"]
-    for series, snr_db, ber in rows:
-        lines.append(f"{preset},{series},{snr_db:g},{ber:.12e}")
-    (out_dir / name).write_text("\n".join(lines) + "\n")
-    return name
+    preset = _PLOT_PRESETS.get(command, {}).get(nt, f"{command.replace('-', '_')}_custom")
+    rows = [(preset, series, _snr_text(snr_db), f"{ber:.12e}") for series, snr_db, ber in rows]
+    return _csv(None, "figure,series,snr_db,ber", rows)
 
 
 # A command's runner returns (output files as {name: text}, plot rows or
@@ -289,7 +341,7 @@ def _warn_capped(cfg: SweepConfig, points) -> None:
     for p in points:
         if p.capped:
             click.echo(
-                f"warning: {p.policy} n_i={p.n_i} at {p.snr_db:g} dB stopped at the symbol budget "
+                f"warning: {p.policy} n_i={p.n_i} at {_snr_text(p.snr_db)} dB stopped at the symbol budget "
                 f"with {p.bit_errors} bit errors, short of min_errors={cfg.min_errors}",
                 err=True,
             )
@@ -297,7 +349,10 @@ def _warn_capped(cfg: SweepConfig, points) -> None:
 
 def _ber_result(command: str, cfg: SweepConfig, points, calib: dict | None = None) -> Result:
     _warn_capped(cfg, points)
-    files = {f"{command.replace('-', '_')}.csv": format_ber_csv(points, cfg, command)}
+    rows = [(_snr_text(p.snr_db), p.n_i, p.policy, p.bit_errors, p.total_bits, f"{p.ber:.12e}", p.mean_detect_ns)
+            for p in points]
+    columns = "snr_db,n_i,policy,bit_errors,total_bits,ber,mean_detect_ns"
+    files = {f"{command.replace('-', '_')}.csv": _csv(_meta(cfg, command), columns, rows)}
     plot_rows = [(p.policy if p.policy != "fixed" else f"n_i={p.n_i}", p.snr_db, p.ber) for p in points]
     return files, plot_rows, calib
 
@@ -338,9 +393,9 @@ def _calibrate(resolved: dict) -> Result:
     cfg = _sweep_config(resolved)
     table, derived, points = calibrate(cfg)
     _warn_capped(cfg, points)
-    lines = [f"# target_ber={resolved['target_ber']:g}", "snr_db,required_n_i"]
-    lines += [f"{snr:g},{n}" for snr, n in derived]
-    files = {"calibrate.csv": table.to_csv(), "calibrate_derived.csv": "\n".join(lines) + "\n"}
+    derived_csv = _csv({"target_ber": f"{resolved['target_ber']:g}"}, "snr_db,required_n_i",
+                       [(_snr_text(snr), n) for snr, n in derived])
+    files = {"calibrate.csv": table.to_csv(), "calibrate_derived.csv": derived_csv}
     return files, [(f"n_i={n}", s, b) for s, n, b in zip(table.snr_db, table.n_i, table.ber)], None
 
 
@@ -356,7 +411,17 @@ def _bench(resolved: dict) -> Result:
     report = bench_complexity(cfg, table)
     for name, mean_ns, ratio in report.summary:
         click.echo(f"{name:12s} {mean_ns:12.0f} ns/detection  {ratio:6.1f}%")
-    files = {"bench.csv": format_bench_csv(report, cfg), "bench_summary.csv": format_bench_summary_csv(report)}
+    machine = _machine_note().replace(" ", "_")
+    rows = [(r.variant, _snr_text(r.snr_db), r.n_i, r.detections, r.bit_errors, r.total_bits, f"{r.mean_ns:.1f}")
+            for r in report.rows]
+    summary = [(name, f"{mean_ns:.1f}", f"{ratio:.1f}") for name, mean_ns, ratio in report.summary]
+    columns = "variant,snr_db,n_i,detections,bit_errors,total_bits,mean_ns"
+    files = {
+        "bench.csv": _csv({**_meta(cfg, "bench"), "machine": machine}, columns, rows),
+        "bench_summary.csv": _csv(
+            {"machine": machine, "detections_per_cell": cfg.bench_detections}, "variant,band_mean_ns,ratio_pct", summary
+        ),
+    }
     return files, None, calib
 
 
@@ -392,18 +457,17 @@ def _execute(command: str, resolved: dict, out_dir: Path) -> None:
     """
     try:
         files, plot_rows, calib = COMMANDS[command].run(resolved)
+        if resolved["emit_plot"] and plot_rows is not None:
+            files[f"{command.replace('-', '_')}_plot.csv"] = _plot_csv(command, resolved["nt"], plot_rows)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out_dir / name).write_text(text)
-        outputs = list(files)
-        if resolved["emit_plot"] and plot_rows is not None:
-            outputs.append(_write_plot_file(out_dir, command, resolved, plot_rows))
-        manifest = _write_manifest(out_dir, command, resolved, outputs, calib)
+        manifest = _write_manifest(out_dir, command, resolved, list(files), calib)
     except click.ClickException:
         raise
     except Exception as exc:
         raise click.ClickException(str(exc)) from None
-    click.echo(f"wrote {', '.join(outputs)} and {manifest.name} to {out_dir}")
+    click.echo(f"wrote {', '.join(files)} and {manifest.name} to {out_dir}")
 
 
 @click.group()

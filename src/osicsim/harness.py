@@ -1,6 +1,12 @@
 """Monte Carlo engine: BER sweeps, calibration tables, policy comparison
 and wall-clock complexity benchmarks.
 
+This module only computes: it returns ``BerPoint`` lists, the calibration
+table with its derived counts, and a ``BenchReport``. The text of every
+output file is written by :mod:`osicsim.cli`, except the calibration
+table's CSV, which :class:`~osicsim.policy.CalibrationTable` both writes
+and reads back.
+
 Cells and determinism
 ---------------------
 A sweep is split into independent cells, one per (SNR point, detector
@@ -57,7 +63,9 @@ truncation. Each (variant, SNR) cell keeps the fastest of
 The feedback variant is ``policy.feedback_detect`` at the count the
 point's estimate resolves to, which runs a full pass at each depth
 ``1 .. n_i`` and therefore pays for its restarts. Benchmarking always
-runs single-worker to keep the timer quiet.
+runs single-worker to keep the timer quiet. A ``BenchReport`` holds the
+rows and the summary; the CLI adds the machine note and the detection
+count when it writes them.
 
 Memory
 ------
@@ -74,7 +82,7 @@ until it exits. On any libc other than glibc nothing changes.
 from __future__ import annotations
 
 import math
-import platform
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -82,10 +90,8 @@ from numbers import Integral
 
 import numpy as np
 
-from . import __version__
 from .batched import NULLING_CORES, count_bit_errors, recompute_indices_batch, transmit_batch, vblast_indices_batch
 from .channel import (
-    RNG_ALGORITHM,
     gen_channel_batch,
     gen_noise_batch,
     link_snr,
@@ -212,6 +218,8 @@ class SweepConfig:
             raise ConfigError(f"min_symbols must be >= {MIN_SYMBOLS_FLOOR}, got {self.min_symbols}")
         if self.min_errors < MIN_ERRORS_FLOOR:
             raise ConfigError(f"min_errors must be >= {MIN_ERRORS_FLOOR}, got {self.min_errors}")
+        if not (0 <= self.seed < 2**64):  # a Philox key is an unsigned 64-bit integer
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.snr_est not in SNR_ESTIMATORS:
@@ -278,8 +286,6 @@ class BenchReport:
 
     rows: list[BenchRow]
     summary: list[tuple[str, float, float]]  # (variant, band mean ns, ratio %)
-    machine: str
-    detections_per_cell: int
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +415,8 @@ def _run_cells(cfg: SweepConfig, cells: list[_Cell]) -> list[BerPoint]:
         # imported here: the pool module loads multiprocessing and subprocess, which one worker never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        # a fork pool starts all its workers at the first submit, so it gets no more than there are cells
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(cells)) or 1) as pool:
+        # a fork pool starts all its workers at the first submit, so it gets no more than there are cells or CPUs
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(cells), os.cpu_count() or 1) or 1) as pool:
             chunks = list(pool.map(_run_cell, [cfg] * len(cells), cells))
     return [point for chunk in chunks for point in chunk]
 
@@ -559,26 +565,6 @@ def compare_policies(cfg: SweepConfig, table: CalibrationTable) -> list[BerPoint
 # complexity benchmark
 
 
-def _machine_note() -> str:
-    """OS, architecture, CPU model and python version, for manifests and bench CSVs.
-
-    The CPU model comes from ``/proc/cpuinfo`` where it names one;
-    ``platform.processor()`` is asked only otherwise, because on Linux it
-    forks the interpreter to run ``uname -p``.
-    """
-    cpu = None
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.lower().startswith("model name"):
-                    cpu = line.split(":", 1)[1].strip()
-                    break
-    except OSError:
-        pass
-    cpu = cpu or platform.processor() or "unknown-cpu"
-    return f"{platform.system()} {platform.machine()} | {cpu} | python {platform.python_version()}"
-
-
 def bench_complexity(cfg: SweepConfig, table: CalibrationTable) -> BenchReport:
     """Per-detection wall-clock cost of each algorithm variant.
 
@@ -631,58 +617,4 @@ def bench_complexity(cfg: SweepConfig, table: CalibrationTable) -> BenchReport:
     }
     base = band_mean["ordinary"]
     summary = [(name, band_mean[name], 100.0 * band_mean[name] / base) for name in BENCH_VARIANTS]
-    return BenchReport(rows, summary, _machine_note(), cfg.bench_detections)
-
-
-# ---------------------------------------------------------------------------
-# CSV output
-
-
-def _meta_lines(cfg: SweepConfig, command: str, extra: dict | None = None) -> list[str]:
-    kv = {
-        "tool": f"osicsim-{__version__}",
-        "cmd": command,
-        "mod": cfg.modulation,
-        "nt": cfg.n_t,
-        "nr": cfg.n_r,
-        "core": cfg.core,
-        "k": cfg.subcarriers,
-        "seed": cfg.seed,
-        "min_symbols": cfg.min_symbols,
-        "min_errors": cfg.min_errors,
-        "workers": cfg.workers,
-        "rng": RNG_ALGORITHM,
-    }
-    if extra:
-        kv.update(extra)
-    return ["# " + " ".join(f"{k}={v}" for k, v in kv.items())]
-
-
-def format_ber_csv(points: list[BerPoint], cfg: SweepConfig, command: str) -> str:
-    lines = _meta_lines(cfg, command)
-    lines.append("snr_db,n_i,policy,bit_errors,total_bits,ber,mean_detect_ns")
-    for p in points:
-        lines.append(
-            f"{p.snr_db:g},{p.n_i},{p.policy},{p.bit_errors},{p.total_bits},"
-            f"{p.ber:.12e},{p.mean_detect_ns}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def format_bench_csv(report: BenchReport, cfg: SweepConfig) -> str:
-    lines = _meta_lines(cfg, "bench", {"machine": report.machine.replace(" ", "_")})
-    lines.append("variant,snr_db,n_i,detections,bit_errors,total_bits,mean_ns")
-    for r in report.rows:
-        lines.append(
-            f"{r.variant},{r.snr_db:g},{r.n_i},{r.detections},{r.bit_errors},"
-            f"{r.total_bits},{r.mean_ns:.1f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def format_bench_summary_csv(report: BenchReport) -> str:
-    lines = [f"# machine={report.machine.replace(' ', '_')} detections_per_cell={report.detections_per_cell}"]
-    lines.append("variant,band_mean_ns,ratio_pct")
-    for name, mean_ns, ratio in report.summary:
-        lines.append(f"{name},{mean_ns:.1f},{ratio:.1f}")
-    return "\n".join(lines) + "\n"
+    return BenchReport(rows, summary)

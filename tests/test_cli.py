@@ -309,6 +309,98 @@ class TestSubcommands:
         assert plot[0] == "figure,series,snr_db,ber"
         assert plot[1].startswith("fig2,")  # 4x4 preset
 
+    def test_every_csv_writes_the_exact_snr(self, tmp_path):
+        # both points round to 10 at six significant digits
+        system = ["--nt", "4", "--nr", "4", "--mod", "qpsk", "--subcarriers", "8", "--snr", "10.000001,10.000002"]
+        table = tmp_path / "calibrate" / "calibrate.csv"
+        for command, extra in (
+            ("ber-sweep", ["--emit-plot"]),
+            ("calibrate", ["--emit-plot"]),
+            ("bench", ["--calib", str(table), "--bench-detections", "100"]),
+        ):
+            res = run_cli([command, *system, *extra, "--out", str(tmp_path / command)])
+            assert res.exit_code == 0, res.output
+        written = {}
+        for path in sorted(tmp_path.glob("*/*.csv")):
+            columns, *rows = [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+            if "snr_db" in columns:
+                written[path.name] = {row[columns.index("snr_db")] for row in rows}
+        assert sorted(written) == [
+            "bench.csv", "ber_sweep.csv", "ber_sweep_plot.csv", "calibrate.csv", "calibrate_derived.csv",
+            "calibrate_plot.csv",
+        ]
+        for name, texts in written.items():
+            assert texts == {"10.000001", "10.000002"}, name
+
+
+class TestCsvFormat:
+    def test_ber_csv_layout(self, tmp_path):
+        run_cli(["ber-sweep", *FAST, "--snr", "12", "--iters", "1", "--out", str(tmp_path)])
+        lines = (tmp_path / "ber_sweep.csv").read_text().strip().split("\n")
+        assert lines[0].startswith("# tool=osicsim")
+        assert "rng=philox4x64+box-muller" in lines[0]
+        assert lines[1] == "snr_db,n_i,policy,bit_errors,total_bits,ber,mean_detect_ns"
+        fields = lines[2].split(",")
+        assert len(fields) == 7
+        assert fields[2] == "fixed"
+        # ber column consistent with counts
+        assert float(fields[5]) == pytest.approx(int(fields[3]) / int(fields[4]))
+
+    def test_counts_identical_timing_may_differ(self, tmp_path):
+        texts = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            run_cli(["ber-sweep", *FAST, "--snr", "12", "--iters", "1", "--out", str(out)])
+            texts.append((out / "ber_sweep.csv").read_text())
+        a, b = texts
+        strip = lambda text: ["," .join(l.split(",")[:-1]) for l in text.strip().split("\n")]
+        assert strip(a) == strip(b)
+
+    def test_bench_csv_layout(self, tmp_path):
+        from osicsim.policy import CalibrationTable
+
+        table = CalibrationTable(
+            [16.0, 16.0, 16.0, 16.0], [1, 2, 3, 4], [5e-2, 3e-2, 2e-2, 1.5e-2], [1000] * 4,
+            {"mod": "qam16", "nt": 8, "nr": 8, "core": "mmse"},
+        )
+        (tmp_path / "table.csv").write_text(table.to_csv())
+        run_cli([
+            "bench", "--nt", "8", "--nr", "8", "--mod", "qam16", "--core", "mmse", "--snr", "16",
+            "--bench-detections", "100", "--seed", "2", "--calib", str(tmp_path / "table.csv"), "--out", str(tmp_path),
+        ])
+        lines = (tmp_path / "bench.csv").read_text().strip().split("\n")
+        assert lines[1] == "variant,snr_db,n_i,detections,bit_errors,total_bits,mean_ns"
+        assert len(lines) == 2 + 4  # four variants, one snr
+
+
+def _cpuinfo_model():
+    """The first ``model name`` of ``/proc/cpuinfo``, or None."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.lower().startswith("model name"):
+                    return line.split(":", 1)[1].strip() or None
+    except OSError:
+        pass
+    return None
+
+
+class TestMachineNote:
+    @pytest.mark.skipif(_cpuinfo_model() is None, reason="no model name in /proc/cpuinfo")
+    def test_cpuinfo_model_needs_no_processor_call(self, monkeypatch):
+        def forks():
+            raise AssertionError("platform.processor() runs `uname -p` in a child process")
+
+        monkeypatch.setattr(cli.platform, "processor", forks)
+        assert f"| {_cpuinfo_model()} |" in cli._machine_note()
+
+    def test_unreadable_cpuinfo_falls_back_to_processor(self, monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise PermissionError("/proc/cpuinfo")
+
+        monkeypatch.setattr(cli, "open", unreadable, raising=False)
+        monkeypatch.setattr(cli.platform, "processor", lambda: "test-cpu")
+        assert "| test-cpu |" in cli._machine_note()
+
 
 class TestManifestRerun:
     def test_manifest_round_trips_losslessly(self, tmp_path):
@@ -513,6 +605,18 @@ class TestBoundaryValues:
         assert "table has no n_i = 2 row at snr_db 30" in res.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_the_philox_key_range(self, tmp_path, seed):
+        # refused with its key before the first cell, which may run in a pool worker
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        for source in (["--seed", seed], ["--config", str(cfg)]):
+            args = ["ber-sweep", *FAST, *source, "--workers", "2", "--out", str(tmp_path / "o")]
+            res = CliRunner().invoke(main, args)
+            assert res.exit_code != 0
+            assert f"seed must lie in [0, 2**64), got {seed}" in res.output
+            assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
     def test_formula_eval_rejects_non_finite_snr(self, snr):
         res = CliRunner().invoke(main, ["formula-eval", f"--snr={snr}"])
@@ -544,6 +648,15 @@ class TestBoundaryInputs:
         res = CliRunner().invoke(main, ["ber-sweep", *FAST[:4], "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert res.exit_code != 0
         assert "'mod'" in res.output and "QPSK" in res.output
+        assert not (tmp_path / "o").exists()
+
+    def test_config_file_key_set_twice(self, tmp_path):
+        # the second value used to win silently
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nnt = 4\nseed = 5\n")
+        res = CliRunner().invoke(main, ["ber-sweep", *FAST, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert res.exit_code != 0
+        assert f"{cfg}:3: config key 'seed' is set again; line 1 set it first" in res.output
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -634,11 +747,9 @@ class TestBoundaryInputs:
 
         import numpy as np
 
-        from osicsim.harness import _machine_note
-
         assert valid_manifest["python"] == platform.python_version()
         assert valid_manifest["numpy"] == np.__version__
-        assert valid_manifest["machine"] == _machine_note()
+        assert valid_manifest["machine"] == cli._machine_note()
 
     @pytest.mark.parametrize("key", list(OPTIONS))
     @settings(derandomize=True, max_examples=10, deadline=None)

@@ -23,13 +23,12 @@ from osicsim.harness import (
     bench_complexity,
     calibrate,
     compare_policies,
-    format_ber_csv,
-    format_bench_csv,
     run_ber_sweep,
     run_linear_sweep,
 )
 from osicsim.linalg import RankDeficiencyError
 from osicsim.policy import CalibrationTable, feedback_iters, formula_iters
+from test_cli import _cpuinfo_model
 
 
 def small_cfg(**kw):
@@ -96,6 +95,14 @@ class TestSweepConfig:
             small_cfg(snr_db_list=(8.0, 12.0, 8.0)).validate()
         with pytest.raises(ConfigError, match="duplicate"):
             calibrate(small_cfg(snr_db_list=(8.0, 8.0)))
+
+    def test_seed_is_an_unsigned_64_bit_integer(self):
+        # a seed outside the Philox key range is refused here, not inside the first cell
+        for seed in (0, 2**64 - 1):
+            small_cfg(seed=seed).validate()
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}$"):
+                small_cfg(seed=seed).validate()
 
     def test_link_snr_convention(self):
         # nominal axis derates by 10 log10(n_t) at the link
@@ -604,68 +611,15 @@ class TestBench:
         assert means[0] < means[4] < means[7], rounds
 
 
-class TestCsvFormat:
-    def test_ber_csv_layout(self):
-        cfg = small_cfg()
-        pts = run_ber_sweep(cfg, (1,))
-        text = format_ber_csv(pts, cfg, "ber-sweep")
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("# tool=osicsim")
-        assert "rng=philox4x64+box-muller" in lines[0]
-        assert lines[1] == "snr_db,n_i,policy,bit_errors,total_bits,ber,mean_detect_ns"
-        fields = lines[2].split(",")
-        assert len(fields) == 7
-        assert fields[2] == "fixed"
-        # ber column consistent with counts
-        assert float(fields[5]) == pytest.approx(int(fields[3]) / int(fields[4]))
-
-    def test_counts_identical_timing_may_differ(self):
-        cfg = small_cfg()
-        a = format_ber_csv(run_ber_sweep(cfg, (1,)), cfg, "ber-sweep")
-        b = format_ber_csv(run_ber_sweep(cfg, (1,)), cfg, "ber-sweep")
-        strip = lambda text: ["," .join(l.split(",")[:-1]) for l in text.strip().split("\n")]
-        assert strip(a) == strip(b)
-
-    def test_bench_csv_layout(self):
-        from osicsim.policy import CalibrationTable
-
-        table = CalibrationTable(
-            np.array([16.0, 16.0, 16.0, 16.0]),
-            np.array([1, 2, 3, 4]),
-            np.array([5e-2, 3e-2, 2e-2, 1.5e-2]),
-            np.array([1000] * 4),
-            {"mod": "qam16", "nt": 8, "nr": 8, "core": "mmse"},
-        )
-        cfg = SweepConfig(
-            n_t=8, n_r=8, modulation="qam16", core="mmse",
-            snr_db_list=(16.0,), bench_detections=100, seed=2,
-        )
-        text = format_bench_csv(bench_complexity(cfg, table), cfg)
-        lines = text.strip().split("\n")
-        assert lines[1] == "variant,snr_db,n_i,detections,bit_errors,total_bits,mean_ns"
-        assert len(lines) == 2 + 4  # four variants, one snr
-
-
-def _cpuinfo_model():
-    """The first ``model name`` of ``/proc/cpuinfo``, or None."""
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.lower().startswith("model name"):
-                    return line.split(":", 1)[1].strip() or None
-    except OSError:
-        pass
-    return None
-
-
 class TestWhatARunLoads:
     """A single-worker run loads and starts only what it uses."""
 
     def test_single_worker_run_loads_no_pool_or_masked_arrays(self):
         code = textwrap.dedent(
             """
-            import resource, sys
+            import resource, sys, tempfile
             import numpy as np
+            from osicsim.cli import main
             from osicsim.harness import SweepConfig, bench_complexity, run_ber_sweep
             from osicsim.policy import CalibrationTable
 
@@ -675,6 +629,11 @@ class TestWhatARunLoads:
             table = CalibrationTable(np.array([10.0]), np.array([1]), np.array([1e-2]), np.array([10_000]),
                                      {"mod": "qpsk", "nt": 2, "nr": 2, "core": "mmse"})
             bench_complexity(cfg, table)
+            with tempfile.TemporaryDirectory() as out:  # the bench command writes the machine note three times
+                with open(f"{out}/table.csv", "w") as fh:
+                    fh.write(table.to_csv())
+                main(["bench", "--nt", "2", "--nr", "2", "--mod", "qpsk", "--snr", "10", "--bench-detections", "100",
+                      "--calib", f"{out}/table.csv", "--out", out], standalone_mode=False)
             print(sorted(m for m in ("numpy.ma", "concurrent.futures.process") if m in sys.modules))
             print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
             """
@@ -685,10 +644,10 @@ class TestWhatARunLoads:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
-        loaded, child_rss = proc.stdout.splitlines()
+        *_, loaded, child_rss = proc.stdout.splitlines()  # after the bench command's own lines
         assert loaded == "[]"
         if _cpuinfo_model():
-            # bench_complexity's machine note read the model and forked no `uname -p`
+            # the bench command's machine notes read the model and forked no `uname -p`
             assert child_rss == "0"
 
 
@@ -713,6 +672,7 @@ class TestWhatARunLoads:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # more CPUs than cells: the cells bound the pool
         counts = {}
         for workers in (1, 2, 8, 5000):
             pts = run_ber_sweep(small_cfg(snr_db_list=(8.0, 12.0), workers=workers), (1,))
@@ -721,6 +681,18 @@ class TestWhatARunLoads:
         assert counts[1] == counts[2] == counts[8] == counts[5000]
         run_ber_sweep(small_cfg(workers=2), (1,))
         assert sizes[-1] == 1  # a pool still starts for one cell when workers > 1
+
+        # nor more than there are CPUs, and one where the count is unknown; the counts stay the same
+        snrs = (4.0, 6.0, 8.0, 12.0)
+        sweep_counts = lambda workers: [
+            (p.snr_db, p.bit_errors, p.total_bits)
+            for p in run_ber_sweep(small_cfg(snr_db_list=snrs, workers=workers), (1,))
+        ]
+        expected = sweep_counts(1)
+        for cpus, size in ((3, 3), (1, 1), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert sweep_counts(100_000) == expected
+            assert sizes[-1] == size
 
 
 class TestFreedMemory:
@@ -768,21 +740,3 @@ class TestFreedMemory:
 
         monkeypatch.setattr(ctypes, "CDLL", lambda name: OtherLibc())
         harness._keep_freed_memory()
-
-
-class TestMachineNote:
-    @pytest.mark.skipif(_cpuinfo_model() is None, reason="no model name in /proc/cpuinfo")
-    def test_cpuinfo_model_needs_no_processor_call(self, monkeypatch):
-        def forks():
-            raise AssertionError("platform.processor() runs `uname -p` in a child process")
-
-        monkeypatch.setattr(harness.platform, "processor", forks)
-        assert f"| {_cpuinfo_model()} |" in harness._machine_note()
-
-    def test_unreadable_cpuinfo_falls_back_to_processor(self, monkeypatch):
-        def unreadable(*args, **kwargs):
-            raise PermissionError("/proc/cpuinfo")
-
-        monkeypatch.setattr(harness, "open", unreadable, raising=False)
-        monkeypatch.setattr(harness.platform, "processor", lambda: "test-cpu")
-        assert "| test-cpu |" in harness._machine_note()

@@ -7,9 +7,13 @@ do not count. Every change reports its code size by this rule.
 Usage, from the repository root:
 
     python3 tools/loc.py [DIR]
+    python3 tools/loc.py OLD_DIR NEW_DIR
 
 ``DIR`` defaults to ``src/osicsim``. Prints one ``module lines`` row per
-``*.py`` file and the total.
+``*.py`` file and the total. Given two directories, say a ``git archive``
+of the parent commit's package and ``src/osicsim``, it prints one
+``module old new`` row per file of either, with ``-`` for a file that one
+of them lacks, and the two totals.
 """
 
 from __future__ import annotations
@@ -39,13 +43,16 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path("src/osicsim")
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        n = code_lines(path.read_text())
-        total += n
-        print(f"{path.stem:12s} {n:5d}")
-    print(f"{'total':12s} {total:5d}")
+    if len(argv) > 2:
+        print("usage: python3 tools/loc.py [DIR] | OLD_DIR NEW_DIR", file=sys.stderr)
+        return 2
+    counts = [
+        {path.stem: code_lines(path.read_text()) for path in sorted(Path(root).glob("*.py"))}
+        for root in argv or ["src/osicsim"]
+    ]
+    for module in sorted(set().union(*counts)):
+        print(f"{module:12s}" + "".join(f" {c.get(module, '-'):>5}" for c in counts))
+    print(f"{'total':12s}" + "".join(f" {sum(c.values()):5d}" for c in counts))
     return 0
 
 
