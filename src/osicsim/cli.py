@@ -38,10 +38,10 @@ computes. One writer, ``_csv``, makes the BER CSV (``ber-sweep``,
 ``iter-sweep``, ``compare``), ``bench.csv``, ``bench_summary.csv``,
 ``calibrate_derived.csv`` and the plot file, each a ``# key=value``
 header line (the plot file has none), a column line and the rows. Every
-``snr_db`` value is written by ``policy._snr_text``, which keeps two SNRs
-apart however close they are. The calibration table (``calibrate.csv``)
-is ``CalibrationTable.to_csv``, next to ``load_csv``, since it is the one
-output the program reads back.
+``snr_db`` value, and ``calibrate_derived.csv``'s target, is written by
+``policy._snr_text``, which keeps two SNRs apart however close they are.
+The calibration table (``calibrate.csv``) is ``CalibrationTable.to_csv``,
+next to ``load_csv``, since it is the one output the program reads back.
 """
 
 from __future__ import annotations
@@ -134,6 +134,10 @@ def _parse_snr_list(text: str) -> list[float]:
         for _ in range(max(0, int(points))):
             out.append(round(v, 6))
             v += step
+        if len(set(out)) < len(out):
+            raise click.UsageError(
+                f"snr range {text!r}: step {step:g} dB is finer than the 1e-06 dB rounding step of its points"
+            )
         return out
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -393,7 +397,7 @@ def _calibrate(resolved: dict) -> Result:
     cfg = _sweep_config(resolved)
     table, derived, points = calibrate(cfg)
     _warn_capped(cfg, points)
-    derived_csv = _csv({"target_ber": f"{resolved['target_ber']:g}"}, "snr_db,required_n_i",
+    derived_csv = _csv({"target_ber": _snr_text(resolved["target_ber"])}, "snr_db,required_n_i",
                        [(_snr_text(snr), n) for snr, n in derived])
     files = {"calibrate.csv": table.to_csv(), "calibrate_derived.csv": derived_csv}
     return files, [(f"n_i={n}", s, b) for s, n, b in zip(table.snr_db, table.n_i, table.ber)], None

@@ -142,7 +142,9 @@ VECTORS_PER_BATCH = 1024
 
 # the largest single draw a config may ask for, counted as its channel
 # matrices (16 bytes per complex entry): an engine batch, a pilot block or a
-# bench cell; the engine's working set is a few times this
+# bench cell; a batch's draw peaks under 3 times its channel bytes, the
+# sweep engine under 5 times and the recomputing receiver under 8 times
+# (pinned by tests/test_harness.py::TestWorkingSet)
 DRAW_BYTES_MAX = 2**29
 
 # the Gauss-Jordan inverse loops in Python over the matrix order n_t; n_r

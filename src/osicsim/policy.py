@@ -84,7 +84,8 @@ def _snr_text(snr_db: float) -> str:
     """``snr_db`` as ``:g`` writes it where that is exact, else its shortest round-trip form.
 
     The text of every SNR the program writes, so that no two points of a
-    run read alike and a written table reloads the same floats.
+    run read alike and a written table reloads the same floats, and of the
+    target BER in ``calibrate_derived.csv``.
     """
     text = f"{snr_db:g}"
     return text if float(text) == snr_db else repr(float(snr_db))

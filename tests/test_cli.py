@@ -285,6 +285,14 @@ class TestSubcommands:
         assert res.exit_code == 0
         assert (out3 / "ber_sweep.csv").exists()
 
+    def test_derived_counts_record_the_exact_target(self, tmp_path):
+        # written with :g, this target read 0.01 while calibrate.csv and the manifest held 0.01000001
+        res = run_cli(["calibrate", "--nt", "2", "--nr", "2", "--mod", "qpsk", "--subcarriers", "8", "--snr", "8",
+                       "--target-ber", "0.01000001", "--out", str(tmp_path)])
+        assert res.exit_code == 0
+        assert (tmp_path / "calibrate_derived.csv").read_text().startswith("# target_ber=0.01000001\n")
+        assert "target=0.01000001" in (tmp_path / "calibrate.csv").read_text().splitlines()[0]
+
     def test_bench_smoke(self, tmp_path):
         calib_dir = tmp_path / "calib"
         run_cli([
@@ -561,6 +569,15 @@ class TestBoundaryValues:
         )
         assert res.returncode != 0
         assert f"points, more than {cli.MAX_SNR_POINTS}" in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_snr_range_step_finer_than_the_rounding(self, tmp_path):
+        # each range point is rounded to 1e-6 dB, which made a finer step's points
+        # collide and refused them as duplicates the user never wrote
+        res = CliRunner().invoke(main, ["ber-sweep", "--nt", "2", "--nr", "2", "--mod", "qpsk", "--subcarriers", "8",
+                                        "--snr", "0:0.000002:0.0000001", "--iters", "0", "--out", str(tmp_path / "o")])
+        assert res.exit_code != 0
+        assert "step 1e-07 dB is finer than the 1e-06 dB rounding step of its points" in res.output
         assert not (tmp_path / "o").exists()
 
     # one vector past the draw budget for each draw at 8x8, and one antenna past the bound

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 
 import osicsim.harness as harness
 import osicsim.policy as policy
-from osicsim.channel import link_snr
+from osicsim.batched import recompute_indices_batch, vblast_indices_batch
+from osicsim.channel import link_snr, make_stream
 from osicsim.harness import (
     BenchReport,
     ConfigError,
@@ -27,6 +29,7 @@ from osicsim.harness import (
     run_linear_sweep,
 )
 from osicsim.linalg import RankDeficiencyError
+from osicsim.modem import get_constellation
 from osicsim.policy import CalibrationTable, feedback_iters, formula_iters
 from test_cli import _cpuinfo_model
 
@@ -693,6 +696,47 @@ class TestWhatARunLoads:
             monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
             assert sweep_counts(100_000) == expected
             assert sizes[-1] == size
+
+    def test_package_root_loads_nothing(self):
+        # the root holds only the version: importing it loads neither numpy nor
+        # the harness, whose import sets up the allocator
+        code = "import sys, osicsim; print(sorted(m for m in ('numpy', 'osicsim.harness') if m in sys.modules))"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+class TestWorkingSet:
+    """Peak memory of one batch's draw and detections, as a multiple of the
+    batch's channel bytes, the unit of ``DRAW_BYTES_MAX``."""
+
+    @pytest.mark.parametrize("n_t, mod, core, iterations, count", [
+        (8, "qam16", "mmse", 7, 1024),
+        (4, "qpsk", "zf", 0, 1024),
+        (32, "qam16", "mmse", 31, 64),
+    ])
+    def test_peaks_stay_within_pinned_multiples(self, n_t, mod, core, iterations, count):
+        # measured: draw 2.0-2.2x, sweep engine 3.4-4.6x, recomputing receiver 4.9-7.2x
+        cfg = SweepConfig(n_t=n_t, n_r=n_t, modulation=mod, core=core)
+        c = get_constellation(mod)
+        link = link_snr(20.0, n_t)
+        channel_bytes = count * n_t * n_t * 16
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                return fn(*args), tracemalloc.get_traced_memory()[1] / channel_bytes
+            finally:
+                tracemalloc.stop()
+
+        (h, _, _, y), draw = peak(harness._draw, cfg, c, count, link.noise_var, make_stream(1, 1))
+        _, sweep = peak(vblast_indices_batch, h, y, core, iterations, link, c)
+        _, recompute = peak(recompute_indices_batch, h, y, core, iterations, link, c)
+        assert draw < 3 and sweep < 5 and recompute < 8, (draw, sweep, recompute)
 
 
 class TestFreedMemory:

@@ -31,7 +31,7 @@ def test_summary_on_same_outputs(monkeypatch, capsys):
     monkeypatch.setattr(same_outputs, "cli", fake_cli("help"))
     assert same_outputs.main(["old", "new"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "same outputs; compared 28 of 28 runs (14 runs x 2 seeds), 56 files, 28 reruns and 8 help texts"
+        "same outputs; compared 30 of 30 runs (15 runs x 2 seeds), 60 files, 30 reruns and 8 help texts"
     ]
 
 
@@ -40,5 +40,5 @@ def test_summary_follows_the_differences(monkeypatch, capsys):
     assert same_outputs.main(["old", "new"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "osicsim bench --help: help text differs",
-        "differences found: 1; compared 28 of 28 runs (14 runs x 2 seeds), 56 files, 28 reruns and 8 help texts",
+        "differences found: 1; compared 30 of 30 runs (15 runs x 2 seeds), 60 files, 30 reruns and 8 help texts",
     ]

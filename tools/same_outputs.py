@@ -45,6 +45,8 @@ CALIB_8X8 = str(Path(__file__).resolve().parent.parent / "bench" / "calib_8x8_qa
 RUNS = [
     ("ber-sweep-iters", ["ber-sweep", *FAST, "--iters", "2"]),
     ("ber-sweep-zf", ["ber-sweep", *FAST, "--detector", "zf"]),
+    # a fractional SNR range, whose points are rounded to 1e-6 dB
+    ("ber-sweep-fractional", ["ber-sweep", *FAST[:-1], "8:8.3:0.1"]),
     # the ZF core through OSIC iterations, and the 8x8 system at full depth
     ("ber-sweep-zf-iters", ["ber-sweep", *FAST, "--core", "zf", "--iters", "3"]),
     ("ber-sweep-8x8", ["ber-sweep", *POLICY_8X8]),
