@@ -3,8 +3,9 @@
 Each function works on a leading batch axis of independent channel
 instances, which is what makes desk-scale BER sweeps take seconds instead
 of hours. The Gauss-Jordan inverse, :func:`inverse_batch`, belongs to
-``linalg`` and is re-exported here. The scalar receiver,
-``linalg.inverse``, ``detectors.nulling_matrix`` and
+``linalg`` and is re-exported here; it pivots on the diagonal, which is
+stable on the Hermitian positive definite Gram matrices it is given. The
+scalar receiver, ``detectors.nulling_matrix`` and
 ``detectors.vblast_detect``, is a batch-of-one view of these kernels,
 kept for the benchmark's bindings and the tests of its contract; it has
 no loop of its own. The feedback receiver, ``policy.feedback_detect``,
@@ -26,7 +27,7 @@ engine's :func:`vblast_indices_batch` inverts once per vector and removes
 each detected stream from ``P`` by a rank-one Schur-complement downdate.
 The two loops differ in rounding; tests pin them to each other on
 detection orders, point indices and validity, and pin each downdated
-``P`` to the ``linalg.inverse`` residual bound against the freshly
+``P`` to the inverse residual bound of ``linalg`` against the freshly
 deflated Gram matrix wherever a fresh Gauss-Jordan inverse meets that
 bound itself (condition number below 1e6). Ties in the ordering go to the
 lowest original stream index in both loops.
@@ -35,17 +36,18 @@ The downdating loop runs on the matched-filter output ``r = H^H y``, as
 the recursive detectors it follows do: ``r`` is formed once per batch,
 stream ``j`` is nulled as ``z_j = P[j, :] r`` (row ``j`` of ``P H^H``
 applied to ``y``), its decision is cancelled as
-``r -= (H^H H)[:, j] x_j``, and entry ``j`` of ``r`` is then zeroed. ``P``
-stays at full size: a detected stream is downdated out of it in place,
-which leaves its row and column stale (rounding residue, not zero), and
-its ordering metric is masked with ``+inf``, so every stream keeps its
-original index. Nothing reads the stale entries for a decision: they
-meet the zeroed entries of ``r``, both in the nulling products and in
-the final linear block, one full-size ``P r`` sliced on the surviving
-streams. ``P``, ``diag P``, the orders and ``ok`` are those of nulling
-``y`` with row ``j`` of ``P H^H``; the soft values differ from that form
-in their last bits, so a decision can differ only where a soft value
-lies within rounding of a decision boundary.
+``r -= (H^H H)[:, j] x_j``, and every detected entry of ``r`` is then
+zeroed, entry ``j`` and the earlier ones that the cancellation refilled.
+``P`` stays at full size: a detected stream is downdated out of it in
+place, which leaves its row and column stale (rounding residue, not
+zero), and its ordering metric is masked with ``+inf``, so every stream
+keeps its original index. Nothing reads the stale entries for a
+decision: they meet only zeroed entries of ``r``, both in the nulling
+products and in the final linear block, one full-size ``P r`` sliced on
+the surviving streams. ``P``, ``diag P``, the orders and ``ok`` are those
+of nulling ``y`` with row ``j`` of ``P H^H``; the soft values differ from
+that form in their last bits, so a decision can differ only where a soft
+value lies within rounding of a decision boundary.
 
 Instead of raising on a rank-deficient instance, the batched routines
 return a boolean validity mask so the harness can redraw the offending
@@ -68,20 +70,26 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
 def nulling_batch(
-    h: np.ndarray, core: str, snr: SnrSpec
+    h: np.ndarray, core: str, snr: SnrSpec, hh: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched regularized Gram inverse and ordering metric.
 
     Returns ``(P, diag P, ok, H^H H)`` with ``P = (H^H H + lambda I)^-1``
     (lambda = 0 for ZF, the noise variance for MMSE) and the
     unregularized Gram matrix it inverts; the nulling matrix is
-    ``G = P H^H``. ``detectors.nulling_matrix`` is this on a batch of
-    one.
+    ``G = P H^H``. The regularized Gram matrix is Hermitian positive
+    definite wherever ``H`` has full column rank or lambda > 0, so
+    :func:`inverse_batch` pivots on its diagonal, and ``ok`` is False
+    where a pivot is not clearly positive. A caller that needs ``H^H``
+    again, as for ``G``, passes it as ``hh``
+    (``h.conj().transpose(0, 2, 1)``) and the Gram matrix is built from
+    it; otherwise ``H^H`` is a temporary, freed before the inversion.
+    ``detectors.nulling_matrix`` is this on a batch of one.
     """
     if core not in NULLING_CORES:
         raise ValueError(f"unknown nulling core {core!r}")
     reg = snr.noise_var if core == "mmse" else 0.0
-    gram = h.conj().transpose(0, 2, 1) @ h
+    gram = (h.conj().transpose(0, 2, 1) if hh is None else hh) @ h
     p, ok = inverse_batch(gram + np.eye(h.shape[2]) * reg)
     return p, np.diagonal(p, axis1=1, axis2=2).real.copy(), ok, gram
 
@@ -96,12 +104,12 @@ def downdate_inverse_batch(p: np.ndarray, j: np.ndarray) -> np.ndarray:
     ``A`` with row and column ``j`` removed. Row and column ``j`` are left
     stale: they hold rounding residue rather than zeros, later downdates
     write to them without ever reading them into a surviving entry, and
-    the caller must not read them either (``vblast_indices_batch``
-    multiplies them only by zeroed entries of ``H^H y``). Returns ``ok``:
-    ``ok[b]`` is False where the pivot ``P[j,j]`` is not finite and
-    positive, as it is for every Hermitian positive definite ``A``. Such
-    instances get a meaningless ``p`` that the caller must discard; its
-    surviving entries stay finite where ``p`` was finite.
+    the caller must not read them either (``vblast_indices_batch`` keeps
+    every detected entry of ``H^H y`` at zero, so they meet only zeros).
+    Returns ``ok``: ``ok[b]`` is False where the pivot ``P[j,j]`` is not
+    finite and positive, as it is for every Hermitian positive definite
+    ``A``. Such instances get a meaningless ``p`` that the caller must
+    discard; its surviving entries stay finite where ``p`` was finite.
     """
     q = p.transpose(1, 2, 0)  # batch last, as ``inverse_batch`` stores P
     b = np.arange(len(j))
@@ -149,15 +157,15 @@ def vblast_indices_batch(
     # one Gram inversion per vector; each detected stream is downdated out
     # of P in place, and its ordering metric is masked
     p, metric, ok, gram = nulling_batch(h, core, snr)
-    r = np.einsum("bri,br->bi", h.conj(), y)  # H^H y, cancelled in place
+    r = np.einsum("bri,br->bi", h, y.conj()).conj()  # H^H y without a copy of H^H, cancelled in place
     for it in range(iterations):
         j = np.argmin(metric, axis=1)  # first minimum -> lowest original index
         orders[:, it] = j
         sidx = slice_indices(np.einsum("bi,bi->b", p[rows, j], r), c)  # row j of P, times H^H y
         out[rows, j] = sidx
         r -= gram[rows, :, j] * c.points[sidx][:, None]
-        r[rows, j] = 0.0  # the stale row and column j of P meet zeros
         alive[rows, j] = False
+        r *= alive  # the stale rows and columns of P meet zeros, also after later cancellations
         ok &= downdate_inverse_batch(p, j)
         metric = np.where(alive, np.diagonal(p, axis1=1, axis2=2).real, np.inf)
 
@@ -192,9 +200,10 @@ def recompute_indices_batch(
     orders = np.zeros((batch, iterations), dtype=np.int64)
     ok = np.ones(batch, dtype=bool)
     for it in range(iterations + 1):  # the last round is the final linear block
-        p, metric, ok_it, _ = nulling_batch(h, core, snr)
+        hh = h.conj().transpose(0, 2, 1)  # built once for the Gram matrix and G
+        g, metric, ok_it, _ = nulling_batch(h, core, snr, hh)
         ok &= ok_it
-        g = p @ h.conj().transpose(0, 2, 1)
+        g = g @ hh  # G = P H^H; P is not kept into the next inversion
         if it == iterations:
             break
         j = np.argmin(metric, axis=1)  # first minimum -> lowest original index

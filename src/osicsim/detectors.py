@@ -70,10 +70,11 @@ def nulling_matrix(h, core: str, snr: SnrSpec):
     h = np.asarray(h, dtype=np.complex128)
     if not np.isfinite(h).all():
         raise ValueError("channel contains NaN or Inf entries")
-    d, metric, ok, _ = nulling_batch(h[None], core, snr)
+    hh = h[None].conj().transpose(0, 2, 1)
+    d, metric, ok, _ = nulling_batch(h[None], core, snr, hh)
     if not ok[0]:
         raise RankDeficiencyError("regularized Gram matrix is singular")
-    return d[0] @ h.conj().T, metric[0]
+    return d[0] @ hh[0], metric[0]
 
 
 def vblast_detect(h, y, core: str, iterations: int, snr: SnrSpec, c: Constellation):

@@ -1,8 +1,11 @@
 """The batched detection kernels: one engine, two OSIC loops.
 
-The scalar names ``linalg.inverse``, ``detectors.nulling_matrix`` and
-``detectors.vblast_detect`` are batch-of-one views of these kernels, so an
-instance's result must not depend on the batch around it. The sweep
+The scalar names ``detectors.nulling_matrix`` and
+``detectors.vblast_detect`` are batch-of-one views of these kernels, and
+``linalg.inverse`` one of the partial-pivoting loop, so an instance's
+result must not depend on the batch around it. The engine inverts with
+diagonal pivots; swapping in the partial-pivoting loop changes no
+decision. The sweep
 engine's downdating loop and the recomputing loop are different algorithms
 for the same receiver; they must agree on the whole batch (same validity,
 ordering and point indices). The downdating loop inverts the Gram matrix
@@ -28,7 +31,7 @@ from osicsim.batched import (
 )
 from osicsim.channel import SnrSpec, gen_channel_batch, gen_noise_batch, make_stream
 from osicsim.detectors import nulling_matrix, vblast_detect
-from osicsim.linalg import RankDeficiencyError, SingularMatrixError, inverse
+from osicsim.linalg import RankDeficiencyError, SingularMatrixError, _inverse_pivoting_batch, inverse
 from osicsim.modem import QAM16, QPSK
 
 
@@ -72,10 +75,14 @@ def downdate_reference(p, j):
     return sub - col[:, :, None] * row[:, None, :], ok
 
 
+def gram_batch(h):
+    return h.conj().transpose(0, 2, 1) @ h
+
+
 class TestInverseBatch:
     def test_matches_scalar(self):
         rng = make_stream(50, 0)
-        a = gen_channel_batch(64, 6, 6, rng)
+        a = gram_batch(gen_channel_batch(64, 6, 6, rng))
         inv, ok = inverse_batch(a)
         assert ok.all()
         for b in range(64):
@@ -83,9 +90,10 @@ class TestInverseBatch:
 
     def test_flags_singular_instances(self):
         rng = make_stream(51, 0)
-        a = gen_channel_batch(8, 4, 4, rng)
+        h = gen_channel_batch(8, 4, 4, rng)
+        h[5, :, 2] = h[5, :, 1]  # duplicated column
+        a = gram_batch(h)
         a[3] = 0.0
-        a[5, :, 2] = a[5, :, 1]  # duplicated column
         inv, ok = inverse_batch(a)
         assert not ok[3] and not ok[5]
         good = [b for b in range(8) if b not in (3, 5)]
@@ -100,20 +108,27 @@ class TestInverseBatch:
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("kind", ["gram", "general"])
     def test_equals_scalar_exactly(self, n, kind):
-        """An instance's inverse does not depend on its batch: ``inverse``, a
-        batch of one, gives equal values, on instances with and without row
-        swaps, next to dead ones."""
+        """An instance's inverse does not depend on its batch: a batch of one
+        gives equal values, on instances with and without the row swaps of
+        partial pivoting, next to dead ones. Gram matrices go through
+        ``inverse_batch`` against its own batch of one, general ones through
+        the partial-pivoting loop against ``inverse``, its batch of one."""
         a = gen_channel_batch(64, n, n, make_stream(70 + n, 0))
         if kind == "gram":
-            a = a.conj().transpose(0, 2, 1) @ a
+            a = gram_batch(a)
         a[3] = 0.0
         a[5, :, n - 1] = a[5, :, 0]  # duplicated column
         swapped = np.argmax(np.abs(a[:, :, 0]), axis=1) != 0
         assert swapped.any() and not swapped.all()
-        inv, ok = inverse_batch(a)
+        inv, ok = (inverse_batch if kind == "gram" else _inverse_pivoting_batch)(a)
         assert ok.tolist() == [b not in (3, 5) for b in range(64)]
         for b in range(64):
-            if ok[b]:
+            if kind == "gram":
+                one, ok_one = inverse_batch(a[b : b + 1])
+                assert ok_one[0] == ok[b], b
+                if ok[b]:
+                    assert np.array_equal(inv[b], one[0]), b
+            elif ok[b]:
                 assert np.array_equal(inv[b], inverse(a[b])), b
             else:
                 with pytest.raises(SingularMatrixError):
@@ -129,7 +144,10 @@ class TestNullingBatch:
         p, metric, ok, gram = nulling_batch(h, core, snr)
         assert ok.all()
         assert np.array_equal(gram, h.conj().transpose(0, 2, 1) @ h)  # unregularized
-        g = p @ h.conj().transpose(0, 2, 1)
+        hh = h.conj().transpose(0, 2, 1)
+        for given, built in zip(nulling_batch(h, core, snr, hh), (p, metric, ok, gram)):
+            assert np.array_equal(given, built)  # a caller's H^H gives the same bits
+        g = p @ hh
         for b in range(32):
             g_s, m_s = nulling_matrix(h[b], core, snr)
             assert np.allclose(g[b], g_s, atol=1e-12, rtol=1e-10)
@@ -208,6 +226,49 @@ class TestVblastBatch:
         h, _, _, y = random_batch(68, 4, 4, 4, snr, QPSK)
         with pytest.raises(ValueError, match="iterations -1 is negative"):
             vblast_indices_batch(h, y, "mmse", -1, snr, QPSK)
+
+    def test_stale_entries_of_p_reach_no_decision(self, monkeypatch):
+        """The rows and columns of detected streams in the downdated ``P``
+        meet only zeroed entries of ``r``, also after later cancellations:
+        overwriting them with 1e6 after every downdate changes nothing."""
+        snr = SnrSpec(30.0)
+        h, _, _, y = random_batch(69, 1024, 8, 8, snr, QAM16)
+        want = vblast_indices_batch(h, y, "mmse", 7, snr, QAM16)
+
+        def overwriting(p, j):
+            ok = downdate_inverse_batch(p, j)
+            rows = np.arange(len(j))
+            p[rows, j, :] = 1e6
+            p[rows, :, j] = 1e6
+            return ok
+
+        monkeypatch.setattr(batched, "downdate_inverse_batch", overwriting)
+        got = vblast_indices_batch(h, y, "mmse", 7, snr, QAM16)
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g)
+
+
+class TestDiagonalPivots:
+    """The engine inverts the Hermitian positive definite Gram matrix with
+    diagonal pivots; partial pivoting in its place changes no decision."""
+
+    @pytest.mark.parametrize("core", ["zf", "mmse"])
+    @pytest.mark.parametrize("n_r, n_t, c", [(8, 8, QAM16), (4, 4, QPSK), (8, 6, QAM16)])
+    def test_same_decisions_as_partial_pivoting(self, core, n_r, n_t, c, monkeypatch):
+        cases = []
+        for seed, snr_db in enumerate((4.0, 18.0, 34.0)):
+            snr = SnrSpec(snr_db)
+            h, _, _, y = random_batch(90 + seed, 512, n_r, n_t, snr, c)
+            for loop in (vblast_indices_batch, recompute_indices_batch):
+                for iters in range(n_t):
+                    cases.append((loop, (h, y, core, iters, snr, c)))
+        got = [loop(*args) for loop, args in cases]
+        monkeypatch.setattr(batched, "inverse_batch", _inverse_pivoting_batch)
+        for (loop, args), g in zip(cases, got):
+            want = loop(*args)
+            assert want[2].all()
+            for w, x in zip(want, g):
+                assert np.array_equal(w, x), (loop.__name__, args[3], args[4].snr_db)
 
 
 

@@ -1,8 +1,10 @@
 """Tests for the complex-matrix kernels.
 
 The Moore-Penrose identities and inversion residuals act as their own
-oracles. The pseudo-inverse contract is checked on the ZF nulling matrix,
-``(A^H A)^-1 A^H`` built on :func:`inverse`.
+oracles. ``inverse`` is checked on general square matrices and
+``inverse_batch``, which pivots on the diagonal, on Hermitian positive
+definite ones. The pseudo-inverse contract is checked on the ZF nulling
+matrix, ``(A^H A)^-1 A^H`` built on ``inverse_batch``.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from osicsim.batched import inverse_batch
 from osicsim.channel import SnrSpec
 from osicsim.detectors import nulling_matrix
-from osicsim.linalg import RankDeficiencyError, SingularMatrixError, inverse
+from osicsim.linalg import RankDeficiencyError, SingularMatrixError, _inverse_pivoting_batch, inverse
 
 
 def rand_complex(rng, rows, cols):
@@ -93,13 +95,14 @@ class TestInverse:
     )
     def test_residual_property_below_condition_1e6(self, seed, n, log_cond, log_scale):
         """The documented tolerance on random complex matrices ``U diag(s) V^H``
-        of condition number below 1e6 and any scale, inverted as a batch and
-        one at a time (``inverse``, a batch of one), which agree exactly."""
+        of condition number below 1e6 and any scale, inverted as a batch by
+        the partial-pivoting loop and one at a time (``inverse``, a batch of
+        one), which agree exactly."""
         rng = np.random.default_rng(seed)
         s = 10.0**log_scale * np.geomspace(1.0, 10.0**-log_cond, n)
         a = np.stack([(unitary(rng, n) * s) @ unitary(rng, n).conj().T for _ in range(4)])
         assume((np.linalg.cond(a) < 1e6).all())
-        inv, ok = inverse_batch(a)
+        inv, ok = _inverse_pivoting_batch(a)
         assert ok.all()
         for b in range(4):
             want = inverse(a[b])
@@ -135,6 +138,56 @@ class TestInverse:
         # zero in the leading position forces a row swap
         a = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
         assert np.linalg.norm(a @ inverse(a) - np.eye(2)) < 1e-12
+
+
+class TestInverseBatch:
+    """Diagonal pivots on Hermitian positive definite stacks."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        log_cond=st.floats(0.0, 6.0, exclude_max=True),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_residual_property_below_condition_1e6(self, seed, n, log_cond, log_scale):
+        """The documented tolerance on random Hermitian positive definite
+        matrices ``U diag(s) U^H`` of condition number below 1e6 and any
+        scale, inverted as a batch and one at a time (a batch of one),
+        which agree exactly."""
+        rng = np.random.default_rng(seed)
+        s = 10.0**log_scale * np.geomspace(1.0, 10.0**-log_cond, n)
+        u = [unitary(rng, n) for _ in range(4)]
+        a = np.stack([(x * s) @ x.conj().T for x in u])
+        assume((np.linalg.cond(a) < 1e6).all())
+        inv, ok = inverse_batch(a)
+        assert ok.all()
+        for b in range(4):
+            one, ok_one = inverse_batch(a[b : b + 1])
+            assert ok_one[0]
+            assert np.linalg.norm(a[b] @ one[0] - np.eye(n)) < 1e-9
+            assert np.array_equal(inv[b], one[0])
+
+    def test_flags_singular_indefinite_and_nan(self):
+        """Without pivoting, an instance is inverted only where every pivot is
+        clearly positive: a singular, an indefinite (``[[0, 1], [1, 1]]``,
+        which ``inverse`` inverts with a row swap) and a NaN instance are
+        flagged, and their neighbours are inverted."""
+        a = np.array(
+            [
+                [[2.0, 1.0j], [-1.0j, 2.0]],
+                [[1.0, 2.0], [2.0, 4.0]],
+                [[0.0, 1.0], [1.0, 1.0]],
+                [[np.nan, 0.0], [0.0, 1.0]],
+                [[4.0, 0.0], [0.0, 0.25]],
+            ],
+            dtype=complex,
+        )
+        inv, ok = inverse_batch(a)
+        assert ok.tolist() == [True, False, False, False, True]
+        for b in (0, 4):
+            assert np.allclose(inv[b], np.linalg.inv(a[b]))
+        assert np.linalg.norm(a[2] @ inverse(a[2]) - np.eye(2)) < 1e-12
 
 
 class TestPinv:
