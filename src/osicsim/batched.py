@@ -50,10 +50,11 @@ that form in their last bits, so a decision can differ only where a soft
 value lies within rounding of a decision boundary.
 
 Instead of raising on a rank-deficient instance, the batched routines
-return a boolean validity mask so the harness can redraw the offending
-channel without losing the rest of the batch. Symbols are constellation
-point indices throughout; since point index equals the integer value of
-the Gray label, bit errors are a popcount of XORed indices.
+return a boolean validity mask, so the harness can exclude the offending
+instance from its counts and keep the rest of the batch. Symbols are
+constellation point indices throughout; since point index equals the
+integer value of the Gray label, bit errors are a popcount of XORed
+indices.
 """
 
 from __future__ import annotations

@@ -49,7 +49,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import platform
+import shutil
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -457,20 +459,25 @@ _COMMON_KEYS = [key for key in OPTIONS if not any(key in c.extra for c in COMMAN
 def _execute(command: str, resolved: dict, out_dir: Path) -> None:
     """Run one command from a fully resolved config and write its outputs and manifest.
 
-    Any failure exits with a one-line error.
+    ``out_dir`` is created, and checked to be writable, before the command
+    runs; a failed run removes the directories it created. Any failure
+    exits with a one-line error.
     """
+    made = next((d for d in reversed((out_dir, *out_dir.parents)) if not d.exists()), None)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if not os.access(out_dir, os.W_OK | os.X_OK):
+            raise click.ClickException(f"output directory {out_dir} is not writable")
         files, plot_rows, calib = COMMANDS[command].run(resolved)
         if resolved["emit_plot"] and plot_rows is not None:
             files[f"{command.replace('-', '_')}_plot.csv"] = _plot_csv(command, resolved["nt"], plot_rows)
-        out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out_dir / name).write_text(text)
         manifest = _write_manifest(out_dir, command, resolved, list(files), calib)
-    except click.ClickException:
-        raise
     except Exception as exc:
-        raise click.ClickException(str(exc)) from None
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise exc if isinstance(exc, click.ClickException) else click.ClickException(str(exc)) from None
     click.echo(f"wrote {', '.join(files)} and {manifest.name} to {out_dir}")
 
 

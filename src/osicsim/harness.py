@@ -19,14 +19,19 @@ differ run to run and are excluded from all determinism contracts.
 
 Within a cell, one helper thread draws batch i + 1 (channels, bits, noise
 and ``y``) while the cell's own thread detects and counts batch i, so the
-draw and the detect keep two cores busy. The helper draws from the cell's
-generator in the sequential order, and only while the stopping rule can
-still let the cell go on after batch i; the cell's thread touches the
-generator only while no draw is in flight. A batch with rank-deficient instances
-rewinds the stream to where the next batch starts, waiting for that
-draw first, redraws its channels from there and then draws the next
-batch again, so every count is the one a sequential loop gets. A cell
-that stops on its error target discards at most one batch drawn ahead.
+draw and the detect keep two cores busy. Only the helper touches the
+cell's generator, and it draws the batches in order with no saved or
+restored state, so batch i of a cell is the same draw whatever the
+scheduling. It draws ahead unless batch i would stop the cell with every
+instance counted; a cell that stops on its error target discards at most
+one batch drawn ahead. An instance that some variant flags as rank
+deficient (a Gram matrix it cannot invert; measure-zero for Rayleigh
+channels) is left out of every variant's counts, and the cell draws on
+until its stopping rule is met, so every count is the one a sequential
+draw, detect and count loop gets. The estimate is conditioned on an
+invertible channel, as it would be if only invertible channels were
+drawn. A cell that excluded more than 0.1% of its draws raises
+:class:`~osicsim.linalg.RankDeficiencyError`.
 The helper lives in a ``with`` block for the cell, so it is joined on
 every way out, and no thread is alive when a later call forks its pool.
 
@@ -43,11 +48,12 @@ for feedback, the calibration table against ``SweepConfig.target_ber``.
 
 Stopping rule
 -------------
-Each cell accumulates batches until it has seen at least ``min_symbols``
-transmitted symbols and ``min_errors`` bit errors per variant, and gives
-up at ``100 * min_symbols`` symbols; a point that stopped there short of
-``min_errors`` is marked ``capped``. At the default thresholds a measured
-point carries roughly <= 10% relative standard error. Statistical
+Each cell accumulates batches until it has counted at least
+``min_symbols`` transmitted symbols and ``min_errors`` bit errors per
+variant, and gives up once it has drawn ``100 * min_symbols`` symbols; a
+point that stopped there short of ``min_errors`` is marked ``capped``. At
+the default thresholds a measured point carries roughly <= 10% relative
+standard error. Statistical
 assertions in the test suite (stream independence, K-invariance) use
 fixed seeds, so they are deterministic in practice; re-seeding them is the
 only way to make them flake.
@@ -84,8 +90,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -154,9 +161,6 @@ MAX_ANTENNAS = 32
 # stream ids: cells take 1..n_cells, pilot estimation gets its own block
 _PILOT_STREAM_BASE = 2**32
 
-# give up redrawing rank-deficient channels after this many rounds
-_MAX_REDRAW_ROUNDS = 8
-
 MIN_SYMBOLS_FLOOR = 10_000
 MIN_ERRORS_FLOOR = 100
 SYMBOL_BUDGET_FACTOR = 100
@@ -174,10 +178,6 @@ BENCH_VARIANTS = ("ordinary", "fixed_nimax", *POLICIES)
 
 class ConfigError(ValueError):
     """Raised for invalid sweep configurations."""
-
-
-class RankRetryError(RuntimeError):
-    """Raised when more than 0.1% of channel draws needed rank redraws."""
 
 
 @dataclass(frozen=True)
@@ -331,81 +331,47 @@ def _run_cell(cfg: SweepConfig, cell: _Cell) -> list[BerPoint]:
     batch = _batch_vectors(cfg.subcarriers)
     cap_symbols = SYMBOL_BUDGET_FACTOR * cfg.min_symbols
 
-    def stops(symbols, errors):
-        """The stopping rule: the symbol budget is spent, or both targets are met."""
-        return symbols >= cap_symbols or (symbols >= cfg.min_symbols and min(errors) >= cfg.min_errors)
-
-    def detect(h, y):
-        """Each variant's detected indices and detect time, and where every variant detected."""
-        outs, times, ok = [], [], np.ones(len(h), dtype=bool)
-        for v in cell.variants:
-            t0 = time.perf_counter_ns()
-            out, _, ok_v = vblast_indices_batch(h, y, cfg.core, v.n_i, link, c)
-            times.append(time.perf_counter_ns() - t0)
-            outs.append(out)
-            ok &= ok_v
-        return outs, times, ok
+    def stops(vectors, errors):
+        """The stopping rule: the symbol budget is drawn, or both targets are met on the counted vectors."""
+        symbols = vectors * cfg.n_t
+        return drawn * cfg.n_t >= cap_symbols or (symbols >= cfg.min_symbols and min(errors) >= cfg.min_errors)
 
     errors = [0] * len(cell.variants)
     detect_ns = [0] * len(cell.variants)
-    symbols = 0
-    retries = 0
-    draws = 0
+    vectors = drawn = 0
 
-    # the helper thread draws batch i + 1 while this one detects batch i; the
-    # with block joins it on every way out of the cell
+    # the helper thread draws batch i + 1 while this one detects batch i, and
+    # it alone touches the generator; the with block joins it on every way out
     with ThreadPoolExecutor(max_workers=1) as helper:
-
-        def draw_ahead():
-            """The stream state the next batch starts from, and its draw running on the helper."""
-            return rng.bit_generator.state, helper.submit(_draw, cfg, c, batch, link.noise_var, rng)
-
-        start, ahead = draw_ahead()
+        draw = partial(helper.submit, _draw, cfg, c, batch, link.noise_var, rng)
+        ahead = None
         while True:
-            h, tx_idx, noise, y = ahead.result()
-            draws += batch
-            symbols += batch * cfg.n_t
-            ahead = None
-            if not stops(symbols, errors):  # a cell that stops whatever this batch holds draws no more
-                start, ahead = draw_ahead()
-            outs, times, ok = detect(h, y)
+            h, tx_idx, _, y = (ahead or draw()).result()
+            drawn += batch
+            # no batch is drawn ahead of one that stops the cell if every instance of it counts
+            ahead = None if stops(vectors + batch, errors) else draw()
 
-            # rank-deficient instances (measure-zero for Rayleigh draws) get a
-            # fresh channel, kept consistent across all variants of the cell;
-            # bits and noise are reused. The redraws take the stream where the
-            # next batch would start, so that batch is drawn again after them.
-            bad = np.flatnonzero(~ok)
-            if bad.size and ahead is not None:
-                wait((ahead,))
-                rng.bit_generator.state = start
-            rounds = 0
-            while bad.size:
-                rounds += 1
-                if rounds > _MAX_REDRAW_ROUNDS:
-                    raise RankRetryError(f"rank redraw did not converge for {bad.size} instances")
-                retries += bad.size
-                draws += bad.size
-                h[bad] = gen_channel_batch(bad.size, cfg.n_r, cfg.n_t, rng)
-                y[bad] = transmit_batch(h[bad], c.points[tx_idx[bad]], noise[bad])
-                redone, _, ok_bad = detect(h[bad], y[bad])
-                for out, out_bad in zip(outs, redone):
-                    out[bad] = out_bad
-                bad = bad[~ok_bad]
-            if rounds and ahead is not None:
-                start, ahead = draw_ahead()
-
+            # a rank-deficient instance (measure-zero for Rayleigh draws) is
+            # excluded from every variant's counts, so the cell draws on
+            outs, ok = [], np.ones(batch, dtype=bool)
+            for k, v in enumerate(cell.variants):
+                t0 = time.perf_counter_ns()
+                out, _, ok_v = vblast_indices_batch(h, y, cfg.core, v.n_i, link, c)
+                detect_ns[k] += time.perf_counter_ns() - t0
+                outs.append(out)
+                ok &= ok_v
+            vectors += int(np.count_nonzero(ok))
             for k, out in enumerate(outs):
-                errors[k] += count_bit_errors(tx_idx, out)
-                detect_ns[k] += times[k]
-            if stops(symbols, errors):
+                errors[k] += count_bit_errors(tx_idx[ok], out[ok])
+            if stops(vectors, errors):
                 break
 
-    if retries > 0.001 * draws:
-        raise RankRetryError(f"{retries} rank redraws out of {draws} draws exceeds 0.1%")
+    if 1000 * (drawn - vectors) > drawn:
+        raise RankDeficiencyError(f"{drawn - vectors} rank-deficient instances out of {drawn} draws exceeds 0.1%")
 
-    vectors = symbols // cfg.n_t
     return [
-        BerPoint(cell.snr_db, v.n_i, v.tag, e, symbols * c.bits_per_symbol, int(ns / vectors), e < cfg.min_errors)
+        BerPoint(cell.snr_db, v.n_i, v.tag, e, vectors * cfg.n_t * c.bits_per_symbol, int(ns / drawn),
+                 e < cfg.min_errors)
         for v, e, ns in zip(cell.variants, errors, detect_ns)
     ]
 

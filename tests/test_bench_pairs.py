@@ -1,6 +1,7 @@
 """The verdict rule of ``tools/bench_pairs.py`` on hand-made paired runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,28 @@ def test_no_gain_when_the_change_fails_more():
 def test_fewer_than_ten_pairs_refused(capsys):
     repo = Path(__file__).resolve().parent.parent
     with pytest.raises(SystemExit) as exc:
-        bench_pairs.main([str(repo), str(repo), "--pairs", "9"])
+        bench_pairs.main([str(repo), str(repo), "--number", "26", "--pairs", "9"])
     assert exc.value.code == 2
     assert "--pairs must be at least 10" in capsys.readouterr().err
+
+
+def test_number_names_the_file_and_its_seeds(tmp_path, monkeypatch):
+    # a higher BENCH_*.json in the directory used to decide the number
+    repo = Path(__file__).resolve().parent.parent
+    (tmp_path / "BENCH_30.json").write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    runs = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        runs.append((checkout, seed))
+        metrics = {m: {"value": 1.0 + seed % 3} for m in ("setup_s", "vectors_per_s", "peak_rss_mb")}
+        return {"metrics": metrics, "failed": 0, "attempted": 1,
+                "provenance": {"cpu": "cpu", "python": "3", "nproc": 2, "numpy": "2", "src_sha256": "0"}}
+
+    monkeypatch.setattr(bench_pairs, "bench_run", fake_run)
+    assert bench_pairs.main([str(repo), str(repo), "--number", "26", "--workload", "linear-4x4-qpsk"]) == 0
+    seeds = list(range(2600, 2610))
+    assert [seed for _, seed in runs] == [s for s in seeds for _ in range(2)]
+    report = json.loads((tmp_path / "BENCH_26.json").read_text())
+    assert report["workloads"]["linear-4x4-qpsk"]["seeds"] == seeds
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_26.json", "BENCH_30.json"]

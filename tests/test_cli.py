@@ -667,6 +667,27 @@ class TestBoundaryInputs:
         assert "'mod'" in res.output and "QPSK" in res.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bad", ["existing-file", "under-a-file", "unwritable-directory"])
+    def test_bad_out_fails_before_the_run(self, tmp_path, valid_manifest, monkeypatch, bad):
+        # a bad --out used to fail on the first write, after the whole run
+        runs = []
+        monkeypatch.setitem(cli.COMMANDS, "ber-sweep", cli.COMMANDS["ber-sweep"]._replace(run=runs.append))
+        (tmp_path / "file").write_text("")
+        out = {"existing-file": tmp_path / "file", "under-a-file": tmp_path / "file" / "o",
+               "unwritable-directory": tmp_path / "ro"}[bad]
+        if bad == "unwritable-directory":
+            out.mkdir()
+            access = os.access
+            monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode) and not (
+                mode & os.W_OK and Path(path) == out))
+        manifest = tmp_path / "ber_sweep_manifest.json"
+        manifest.write_text(json.dumps(valid_manifest))
+        for args in (["ber-sweep", *FAST], ["rerun", str(manifest)]):
+            res = CliRunner().invoke(main, [*args, "--out", str(out)])
+            assert res.exit_code == 1
+            assert res.output.startswith("Error: ") and res.output.count("\n") == 1, res.output
+            assert runs == []
+
     def test_config_file_key_set_twice(self, tmp_path):
         # the second value used to win silently
         cfg = tmp_path / "run.cfg"

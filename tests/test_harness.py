@@ -14,7 +14,7 @@ import pytest
 
 import osicsim.harness as harness
 import osicsim.policy as policy
-from osicsim.batched import recompute_indices_batch, vblast_indices_batch
+from osicsim.batched import count_bit_errors, recompute_indices_batch, vblast_indices_batch
 from osicsim.channel import link_snr, make_stream
 from osicsim.harness import (
     BenchReport,
@@ -314,8 +314,59 @@ class TestGoldenCounts:
         ]
 
 
-class TestRankRedraw:
-    def test_redraw_path_counts_and_recovers(self, monkeypatch):
+def singular_channels(monkeypatch, per_call):
+    """Make ``harness.gen_channel_batch`` duplicate a column in ``per_call(call)`` leading instances of a call.
+
+    Calls count from 1 in ``calls["n"]``; the test may reset it.
+    """
+    real = harness.gen_channel_batch
+    calls = {"n": 0}
+
+    def inject(count, n_r, n_t, rng):
+        h = real(count, n_r, n_t, rng)
+        calls["n"] += 1
+        for i in range(per_call(calls["n"])):
+            h[i, :, 1] = h[i, :, 0]
+        return h
+
+    monkeypatch.setattr(harness, "gen_channel_batch", inject)
+    return calls
+
+
+def sequential_counts(cfg, n_i):
+    """``(bit_errors, total_bits)`` of a one-variant, one-point sweep by the plain loop.
+
+    Draw a batch, detect it, drop the instances the detector flags, count
+    the rest, and stop once both targets are met (no test here reaches the
+    symbol budget).
+    """
+    c = get_constellation(cfg.modulation)
+    link = link_snr(cfg.snr_db_list[0], cfg.n_t)
+    rng = make_stream(cfg.seed, 1)
+    batch = harness._batch_vectors(cfg.subcarriers)
+    vectors = errors = 0
+    while vectors * cfg.n_t < cfg.min_symbols or errors < cfg.min_errors:
+        h, tx_idx, _, y = harness._draw(cfg, c, batch, link.noise_var, rng)
+        out, _, ok = vblast_indices_batch(h, y, cfg.core, n_i, link, c)
+        vectors += int(ok.sum())
+        errors += count_bit_errors(tx_idx[ok], out[ok])
+    assert vectors * cfg.n_t < SYMBOL_BUDGET_FACTOR * cfg.min_symbols
+    return errors, vectors * cfg.n_t * c.bits_per_symbol
+
+
+@pytest.fixture
+def fine_switching():
+    """A short switch interval, which interleaves the helper's draws and the cell's thread as finely as it can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+class TestRankExclusion:
+    """A rank-deficient instance is left out of every count of its cell, which draws on to its targets."""
+
+    def test_excluded_instances_are_not_counted(self, monkeypatch, fine_switching):
         real = harness.gen_channel_batch
         calls = {"n": 0, "deficient": 0}
 
@@ -328,22 +379,31 @@ class TestRankRedraw:
             return h
 
         monkeypatch.setattr(harness, "gen_channel_batch", inject)
-        # four batches of 1024 vectors; a short switch interval interleaves
-        # the helper's draw and this thread's rewind as finely as it can
+        # four batches of 1024 vectors make 16,384 symbols; two excluded
+        # instances leave 16,376, so the cell draws a fifth batch. In the
+        # fourth batch they fall where the cell expected to stop and drew
+        # nothing ahead, so the fifth is drawn after it.
         cfg = small_cfg(core="zf", snr_db_list=(10.0,), subcarriers=64, min_symbols=16_384, seed=7)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            # the counts of the sequential draw loop, pinned before batches
-            # were drawn ahead: a redraw takes the stream where the next
-            # batch would start. The first batch is the first call, and the
-            # third batch the third when nothing was redrawn before it.
-            for deficient, counts in ((1, (2378, 32768)), (3, (2288, 32768))):
-                calls.update(n=0, deficient=deficient)
-                (p,) = run_ber_sweep(cfg, (2,))
-                assert (p.bit_errors, p.total_bits) == counts
-        finally:
-            sys.setswitchinterval(interval)
+        for deficient, counts in ((1, (2856, 40944)), (3, (2858, 40944)), (4, (2858, 40944))):
+            calls.update(n=0, deficient=deficient)
+            expected = sequential_counts(cfg, 2)
+            calls.update(n=0)
+            (p,) = run_ber_sweep(cfg, (2,))
+            assert (p.bit_errors, p.total_bits) == expected == counts
+
+    def test_refused_above_one_in_a_thousand(self, monkeypatch, fine_switching):
+        # two batches of 2,000 vectors: four excluded instances are 0.1% of the draws, five are more
+        cfg = small_cfg(core="zf", snr_db_list=(10.0,), subcarriers=1000)
+        excluded = {"n": 4}
+        calls = singular_channels(monkeypatch, lambda n: excluded["n"] if n == 1 else 0)
+        (p,) = run_ber_sweep(cfg, (2,))
+        assert p.total_bits == (4000 - 4) * 4 * 2
+        excluded["n"] = 5
+        calls["n"] = 0
+        before = threading.enumerate()
+        with pytest.raises(RankDeficiencyError, match="^5 rank-deficient instances out of 4000 draws exceeds 0.1%$"):
+            run_ber_sweep(cfg, (2,))
+        assert threading.enumerate() == before
 
 
 class TestHelperThread:
@@ -356,17 +416,11 @@ class TestHelperThread:
         run_ber_sweep(small_cfg(**self.CFG), (1,))
         assert threading.enumerate() == before
 
-    def test_rank_retry_error_leaves_no_thread(self, monkeypatch):
-        real = harness.gen_channel_batch
-
-        def deficient(count, n_r, n_t, rng):  # every draw, redraws included, holds one singular channel
-            h = real(count, n_r, n_t, rng)
-            h[0, :, 1] = h[0, :, 0]
-            return h
-
-        monkeypatch.setattr(harness, "gen_channel_batch", deficient)
+    def test_rank_deficiency_error_leaves_no_thread(self, monkeypatch):
+        # two singular channels in every batch of 1024 vectors: 0.195% of the draws
+        singular_channels(monkeypatch, lambda n: 2)
         before = threading.enumerate()
-        with pytest.raises(harness.RankRetryError, match="rank redraw did not converge"):
+        with pytest.raises(RankDeficiencyError, match="exceeds 0.1%"):
             run_ber_sweep(small_cfg(**self.CFG, core="zf"), (1,))
         assert threading.enumerate() == before
 

@@ -9,21 +9,21 @@ copy of the working tree. For every workload, pair ``i`` runs
 with ``S`` the ``run_seconds`` of NEW_CHECKOUT's ``BENCHMARK.json``, once
 in each checkout on the same seed, the old checkout first in even
 pairs and the new one first in odd pairs. Pairs of ``BENCH_<n>.json`` run
-seeds ``100 n + i``, so every file measures seeds no earlier file used.
+seeds ``100 n + i``, so every file measures seeds no other file used.
 
 Usage, from the repository root:
 
-    python3 tools/bench_pairs.py OLD_CHECKOUT NEW_CHECKOUT [--workload W ...] [--pairs N]
+    python3 tools/bench_pairs.py OLD_CHECKOUT NEW_CHECKOUT --number N [--workload W ...] [--pairs P]
 
-Without ``--workload`` it runs every workload of NEW_CHECKOUT's
-``BENCHMARK.json``. It writes ``BENCH_<n>.json`` next to the highest
-existing ``BENCH_*.json`` of the current directory, with ``n`` one above
-it, rewriting it after each workload. ``--pairs`` defaults to, and may
-not go below, ten. Per end-to-end metric it records
-each side's runs, median and quartiles, the ratio of medians and the pairs
-the new checkout won, together with the machine note and both checkouts'
-``src`` hashes. It prints one verdict per metric and workload, by the rule
-of paired runs:
+``N`` is the number of the change the file measures; nothing is inferred
+from the files already present. Without ``--workload`` it runs every
+workload of NEW_CHECKOUT's ``BENCHMARK.json``. It writes
+``BENCH_<N>.json`` in the current directory, rewriting it after each
+workload. ``--pairs`` defaults to, and may not go below, ten. Per
+end-to-end metric it records each side's runs, median and quartiles, the
+ratio of medians and the pairs the new checkout won, together with the
+machine note and both checkouts' ``src`` hashes. It prints one verdict
+per metric and workload, by the rule of paired runs:
 
 * ``gain``: the new checkout's runs fail no more operations than the old
   one's, the new checkout wins at least nine tenths of the pairs (ties
@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -110,16 +109,11 @@ def metric_record(old: list[float], new: list[float], failed: dict, spec: dict) 
     }
 
 
-def next_bench_path() -> Path:
-    names = (re.fullmatch(r"BENCH_(\d+)\.json", p.name) for p in Path.cwd().glob("BENCH_*.json"))
-    taken = [int(m.group(1)) for m in names if m]
-    return Path.cwd() / f"BENCH_{max(taken, default=0) + 1}.json"
-
-
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, metavar="OLD_CHECKOUT")
     parser.add_argument("new", type=Path, metavar="NEW_CHECKOUT")
+    parser.add_argument("--number", type=int, required=True, help="N of the BENCH_<N>.json to write, and of its seeds")
     parser.add_argument("--workload", action="append", help="a workload of BENCHMARK.json; repeat for several")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS, help=f"at least {MIN_PAIRS} (default)")
     args = parser.parse_args(argv)
@@ -131,9 +125,8 @@ def main(argv: list[str]) -> int:
     if unknown or args.pairs < MIN_PAIRS:
         parser.error(f"unknown workloads {sorted(unknown)}" if unknown else f"--pairs must be at least {MIN_PAIRS}")
     seconds = spec["run_seconds"]
-    out = next_bench_path()
-    n = int(out.stem.split("_")[1])
-    seeds = [SEEDS_PER_FILE * n + i for i in range(args.pairs)]
+    out = Path.cwd() / f"BENCH_{args.number}.json"
+    seeds = [SEEDS_PER_FILE * args.number + i for i in range(args.pairs)]
 
     report = {
         "config": {
