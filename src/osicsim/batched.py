@@ -1,16 +1,20 @@
 """Vectorized detection kernels: the package's one detection engine.
 
 Each function works on a leading batch axis of independent channel
-instances, which is what makes desk-scale BER sweeps take seconds instead
-of hours. The Gauss-Jordan inverse, :func:`inverse_batch`, belongs to
-``linalg`` and is re-exported here; it pivots on the diagonal, which is
-stable on the Hermitian positive definite Gram matrices it is given. The
-scalar receiver, ``detectors.nulling_matrix`` and
-``detectors.vblast_detect``, is a batch-of-one view of these kernels,
-kept for the benchmark's bindings and the tests of its contract; it has
-no loop of its own. The feedback receiver, ``policy.feedback_detect``,
-restarts :func:`recompute_indices_batch` at each count up to the one
-the table resolved.
+instances, which is what makes desk-scale BER sweeps take seconds
+instead of hours. The Gauss-Jordan inverse, :func:`inverse_batch`,
+belongs to ``linalg`` and is re-exported here; it pivots on the
+diagonal, which is stable on the Hermitian positive definite Gram
+matrices it is given, and scales by real reciprocals, since their pivots
+are real. Both kernels that handle ``P`` use that it is Hermitian
+positive definite: the inverse, and the downdate, which takes row ``j``
+of ``P`` as the conjugate of column ``j``. The scalar receiver,
+``detectors.nulling_matrix`` and ``detectors.vblast_detect``, is a
+batch-of-one view of these kernels, kept for the benchmark's bindings
+and the tests of its contract; it has no loop of its own. The feedback
+receiver, ``policy.feedback_detect``, restarts
+:func:`recompute_indices_batch` at each count up to the one the table
+resolved.
 
 The cores, ``NULLING_CORES``, share one nulling formula, written once in
 :func:`nulling_batch`: the regularized Gram inverse
@@ -78,8 +82,10 @@ def nulling_batch(
     Returns ``(P, diag P, ok, H^H H)`` with ``P = (H^H H + lambda I)^-1``
     (lambda = 0 for ZF, the noise variance for MMSE) and the
     unregularized Gram matrix it inverts; the nulling matrix is
-    ``G = P H^H``. The regularized Gram matrix is Hermitian positive
-    definite wherever ``H`` has full column rank or lambda > 0, so
+    ``G = P H^H``. :func:`inverse_batch` adds lambda to the diagonal of
+    its own copy of the Gram matrix, so no regularized copy is formed
+    here. The regularized Gram matrix is Hermitian positive definite
+    wherever ``H`` has full column rank or lambda > 0, so
     :func:`inverse_batch` pivots on its diagonal, and ``ok`` is False
     where a pivot is not clearly positive. A caller that needs ``H^H``
     again, as for ``G``, passes it as ``hh``
@@ -91,7 +97,7 @@ def nulling_batch(
         raise ValueError(f"unknown nulling core {core!r}")
     reg = snr.noise_var if core == "mmse" else 0.0
     gram = (h.conj().transpose(0, 2, 1) if hh is None else hh) @ h
-    p, ok = inverse_batch(gram + np.eye(h.shape[2]) * reg)
+    p, ok = inverse_batch(gram, reg)
     return p, np.diagonal(p, axis1=1, axis2=2).real.copy(), ok, gram
 
 
@@ -101,12 +107,16 @@ def downdate_inverse_batch(p: np.ndarray, j: np.ndarray) -> np.ndarray:
     One Schur-complement downdate per instance,
     ``P -= P[:, j] P[j, :] / P[j, j]`` (Hassibi, ICASSP 2000; Benesty,
     Huang & Chen, IEEE TSP 2003): O(n^2) work in place of a fresh O(n^3)
-    inversion. Afterwards the other rows and columns hold the inverse of
-    ``A`` with row and column ``j`` removed. Row and column ``j`` are left
-    stale: they hold rounding residue rather than zeros, later downdates
-    write to them without ever reading them into a surviving entry, and
-    the caller must not read them either (``vblast_indices_batch`` keeps
-    every detected entry of ``H^H y`` at zero, so they meet only zeros).
+    inversion. ``P`` is Hermitian, so row ``j`` is taken as the conjugate
+    of column ``j`` and the pivot as its real part,
+    ``P -= P[:, j] conj(P[:, j])^T / Re P[j, j]``: one gather of column
+    ``j`` and one real reciprocal per instance. Afterwards the
+    other rows and columns hold the inverse of ``A`` with row and column
+    ``j`` removed. Row and column ``j`` are left stale: they hold rounding
+    residue rather than zeros, later downdates write to them without ever
+    reading them into a surviving entry, and the caller must not read them
+    either (``vblast_indices_batch`` keeps every detected entry of ``H^H y``
+    at zero, so they meet only zeros).
     Returns ``ok``: ``ok[b]`` is False where the pivot ``P[j,j]`` is not
     finite and positive, as it is for every Hermitian positive definite
     ``A``. Such instances get a meaningless ``p`` that the caller must
@@ -114,12 +124,11 @@ def downdate_inverse_batch(p: np.ndarray, j: np.ndarray) -> np.ndarray:
     """
     q = p.transpose(1, 2, 0)  # batch last, as ``inverse_batch`` stores P
     b = np.arange(len(j))
-    piv = q[j, j, b]
-    ok = np.isfinite(piv) & (piv.real > 0.0)
-    piv = np.where(ok, piv, 1.0)  # keep dead instances finite
     col = np.ascontiguousarray(q[:, j, b])  # contiguous over the batch
-    row = np.ascontiguousarray(q[j, :, b].T) / piv
-    q -= col[:, None] * row
+    piv = col[j, b]
+    ok = np.isfinite(piv) & (piv.real > 0.0)
+    s = 1.0 / np.where(ok, piv.real, 1.0)  # 1 keeps dead instances finite
+    q -= col[:, None] * (col.conj() * s)
     return ok
 
 

@@ -59,18 +59,19 @@ def assert_loops_agree(h, y, core, iters, snr, c):
 
 def downdate_reference(p, j):
     """Gather-based downdate to the compacted survivors: the survivor indices
-    of each instance, then ``take_along_axis`` and a three-index gather. The
-    surviving rows and columns of ``downdate_inverse_batch`` must hold
-    exactly these values."""
+    of each instance, then ``take_along_axis`` and a three-index gather, in
+    the Hermitian form (row ``j`` is the conjugate of column ``j``, scaled
+    by the reciprocal of the pivot's real part). The surviving rows and
+    columns of ``downdate_inverse_batch`` must hold exactly these values."""
     batch, n, _ = p.shape
     rows = np.arange(batch)
     piv = p[rows, j, j]
     ok = np.isfinite(piv) & (piv.real > 0.0)
-    piv = np.where(ok, piv, 1.0)
+    s = 1.0 / np.where(ok, piv.real, 1.0)
     grid = np.broadcast_to(np.arange(n), (batch, n))
     keep = grid[grid != j[:, None]].reshape(batch, n - 1)
     col = np.take_along_axis(p[rows, :, j], keep, axis=1)
-    row = np.take_along_axis(p[rows, j, :], keep, axis=1) / piv[:, None]
+    row = col.conj() * s[:, None]  # row j of a Hermitian P, over its real pivot
     sub = p[rows[:, None, None], keep[:, :, None], keep[:, None, :]]
     return sub - col[:, :, None] * row[:, None, :], ok
 
@@ -199,9 +200,9 @@ class TestVblastBatch:
     def test_one_inversion_per_vector(self, core, monkeypatch):
         sizes = []
 
-        def counting(a):
+        def counting(a, reg):
             sizes.append(a.shape[0])
-            return inverse_batch(a)
+            return inverse_batch(a, reg)
 
         monkeypatch.setattr(batched, "inverse_batch", counting)
         snr = SnrSpec(18.0)
@@ -263,7 +264,11 @@ class TestDiagonalPivots:
                 for iters in range(n_t):
                     cases.append((loop, (h, y, core, iters, snr, c)))
         got = [loop(*args) for loop, args in cases]
-        monkeypatch.setattr(batched, "inverse_batch", _inverse_pivoting_batch)
+
+        def pivoting(a, reg):  # on the regularized Gram matrix, formed in full
+            return _inverse_pivoting_batch(a + np.eye(a.shape[-1]) * reg)
+
+        monkeypatch.setattr(batched, "inverse_batch", pivoting)
         for (loop, args), g in zip(cases, got):
             want = loop(*args)
             assert want[2].all()
@@ -293,9 +298,9 @@ class TestRecomputeBatch:
     def test_inverts_the_deflated_channel_at_every_iteration(self, monkeypatch):
         shapes = []
 
-        def counting(a):
+        def counting(a, reg):
             shapes.append(a.shape)
-            return inverse_batch(a)
+            return inverse_batch(a, reg)
 
         monkeypatch.setattr(batched, "inverse_batch", counting)
         snr = SnrSpec(18.0)

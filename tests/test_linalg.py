@@ -189,6 +189,24 @@ class TestInverseBatch:
             assert np.allclose(inv[b], np.linalg.inv(a[b]))
         assert np.linalg.norm(a[2] @ inverse(a[2]) - np.eye(2)) < 1e-12
 
+    def test_non_finite_off_the_diagonal_and_zero_flagged(self):
+        """The threshold reads only the diagonal, so NaN or inf entries off it
+        leave the threshold finite; they reach a later pivot, which flags the
+        instance. An all-zero instance has a threshold of 0 and is flagged too.
+        The neighbours equal their batches of one."""
+        a = gram_with_condition(np.random.default_rng(11), 3, 1e3, 6)
+        a[1, 0, 2] = a[1, 2, 0] = np.nan
+        a[3, 0, 1] = complex(np.inf, 1.0)
+        a[3, 1, 0] = complex(np.inf, -1.0)
+        a[4] = 0.0
+        with np.errstate(invalid="ignore"):  # inf times 0 in the flagged instance
+            inv, ok = inverse_batch(a)
+        assert ok.tolist() == [True, False, True, False, False, True]
+        for b in (0, 2, 5):
+            one, ok_one = inverse_batch(a[b : b + 1])
+            assert ok_one[0]
+            assert np.array_equal(inv[b], one[0])
+
 
 class TestPinv:
     """The ZF nulling matrix is the Moore-Penrose pseudo-inverse."""
