@@ -71,7 +71,7 @@ def nulling_matrix(h, core: str, snr: SnrSpec):
     if not np.isfinite(h).all():
         raise ValueError("channel contains NaN or Inf entries")
     hh = h[None].conj().transpose(0, 2, 1)
-    d, metric, ok, _ = nulling_batch(h[None], core, snr, hh)
+    d, metric, ok = nulling_batch(h[None], core, snr, hh)
     if not ok[0]:
         raise RankDeficiencyError("regularized Gram matrix is singular")
     return d[0] @ hh[0], metric[0]

@@ -63,9 +63,10 @@ Complexity benchmarks
 ``bench_complexity`` times whole batches of detections on
 ``batched.recompute_indices_batch``, which inverts the Gram matrix of the
 deflated channel afresh at every iteration, as the paper's receiver does;
-the sweep engine's downdating loop would hide the cost of deeper
-truncation. Each (variant, SNR) cell keeps the fastest of
-``BENCH_REPEATS`` timings of one batch and divides it by the batch size.
+the sweep engine's soft-estimate loop, which inverts once per vector,
+would hide the cost of deeper truncation. Each (variant, SNR) cell keeps
+the fastest of ``BENCH_REPEATS`` timings of one batch and divides it by
+the batch size.
 The feedback variant is ``policy.feedback_detect`` at the count the
 point's estimate resolves to, which runs a full pass at each depth
 ``1 .. n_i`` and therefore pays for its restarts. Benchmarking always

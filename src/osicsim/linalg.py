@@ -35,7 +35,8 @@ Tolerances that are part of the public contract:
 * singularity: ``inverse_batch`` flags an instance with a pivot whose
   real part is below ``tol``, ``1e-12`` times the largest real diagonal
   entry of the regularized input (also a NaN pivot, a non-positive one or
-  an indefinite input). On a positive semidefinite matrix that is
+  an indefinite input), and every instance whose threshold is not
+  finite. On a positive semidefinite matrix that is
   ``1e-12`` times its largest-magnitude entry, because
   ``|a_ij|^2 <= a_ii a_jj``; reading the diagonal alone leaves a
   non-finite entry off it to a later pivot, which it makes non-finite.
@@ -110,7 +111,7 @@ def inverse_batch(a: np.ndarray, reg: float = 0.0) -> tuple[np.ndarray, np.ndarr
     diag = a.reshape(n * n, batch)[:: n + 1]  # a view of the diagonal, (n, batch)
     diag += reg
     tol = PIVOT_RTOL * diag.real.max(axis=0)
-    ok = tol > 0.0
+    ok = np.isfinite(tol) & (tol > 0.0)  # an inf diagonal can meet no pivot below it
     for k in range(n):
         piv = a[k, k].real
         ok &= piv >= tol

@@ -207,6 +207,17 @@ class TestInverseBatch:
             assert ok_one[0]
             assert np.array_equal(inv[b], one[0])
 
+    def test_infinite_threshold_flagged(self):
+        """A 1x1 ``[[inf]]`` instance meets no later pivot, so its threshold,
+        inf, flags it; the neighbours equal their batches of one."""
+        a = np.array([[[2.0]], [[np.inf]], [[0.25]]], dtype=complex)
+        inv, ok = inverse_batch(a)
+        assert ok.tolist() == [True, False, True]
+        for b in (0, 2):
+            one, ok_one = inverse_batch(a[b : b + 1])
+            assert ok_one[0]
+            assert np.array_equal(inv[b], one[0])
+
 
 class TestPinv:
     """The ZF nulling matrix is the Moore-Penrose pseudo-inverse."""

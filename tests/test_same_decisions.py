@@ -1,5 +1,6 @@
 """``tools/same_decisions.py`` on a tiny grid: one tree against itself,
-and against itself with a perturbed slicer."""
+and against itself with a perturbed slicer; and every system of its grid
+at one SNR and a small batch."""
 
 import importlib.util
 from pathlib import Path
@@ -14,9 +15,8 @@ SRC = str(_ROOT / "src")
 
 
 def tiny_grid(monkeypatch):
-    monkeypatch.setattr(same_decisions, "SYSTEMS", ((4, 2, "qpsk"),))
+    monkeypatch.setattr(same_decisions, "SYSTEMS", ((4, 2, "qpsk", 64),))
     monkeypatch.setattr(same_decisions, "SNRS_DB", (10.0,))
-    monkeypatch.setattr(same_decisions, "BATCH", 64)
 
 
 def test_one_tree_makes_the_same_decisions(monkeypatch, capsys):
@@ -46,3 +46,15 @@ def test_differences_are_reported(monkeypatch, capsys):
     assert lines[0] == "4x2 qpsk zf 10 dB depth 0 seed 0 vblast_indices_batch: 128 indices, 0 orders, 0 ok"
     assert lines[-1].startswith("decisions differ: ")
     assert lines[-1].endswith(" indices, 0 orders and 0 ok differ; compared 8 calls, 1,024 symbols")
+
+
+def test_every_system_of_the_grid_runs(monkeypatch, capsys):
+    systems = [(n_r, n_t, mod, 16) for n_r, n_t, mod, _ in same_decisions.SYSTEMS]
+    monkeypatch.setattr(same_decisions, "SYSTEMS", tuple(systems))
+    monkeypatch.setattr(same_decisions, "SNRS_DB", (10.0,))
+    assert same_decisions.main([SRC, SRC, "--seeds", "1"]) == 0
+    calls = sum(2 * n_t * 2 for _, n_t, _, _ in systems)  # cores x depths x loops
+    symbols = sum(2 * n_t * 2 * 16 * n_t for _, n_t, _, _ in systems)
+    assert capsys.readouterr().out.splitlines() == [
+        f"same decisions: 0 indices, 0 orders and 0 ok differ; compared {calls:,} calls, {symbols:,} symbols"
+    ]

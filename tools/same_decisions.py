@@ -2,10 +2,13 @@
 
 Loads the package of each tree under a name of its own and runs both OSIC
 loops, ``batched.vblast_indices_batch`` (the sweep engine's, which
-downdates one inverse) and ``batched.recompute_indices_batch`` (the
-recomputing receiver's), on the same inputs. The grid is every system of
-``SYSTEMS`` x both nulling cores x ``SNRS_DB`` x every depth from 0 to
-``n_t - 1`` x ``--seeds`` seeds, with ``BATCH`` vectors per call. Channels,
+inverts once and updates soft estimates) and
+``batched.recompute_indices_batch`` (the recomputing receiver's), on the
+same inputs. The grid is every system of ``SYSTEMS`` x both nulling cores
+x ``SNRS_DB`` x every depth from 0 to ``n_t - 1`` x ``--seeds`` seeds,
+with the system's batch of vectors per call. The systems span the shapes
+the engine's flat batch-last gathers depend on: one stream, fewer streams
+than receive antennas, square systems from 4 to 16 streams. Channels,
 symbols and noise are drawn here with numpy, so both trees see the same
 inputs whatever their own draw does. For each call it compares the
 validity masks, and the detected point indices and detection orders
@@ -17,9 +20,9 @@ Usage, from the repository root:
 
 Prints each call that differs, then on every exit a summary: the number
 of differing entries of indices, orders and masks, the calls compared
-(one per tree each) and the symbols compared (both loops counted). Exits 1 if anything differs, else
-0. The default 16 seeds compare 5.5e7 symbols in about two minutes on a
-2-core Xeon.
+(one per tree each) and the symbols compared (both loops counted). Exits
+1 if anything differs, else 0. The default 16 seeds compare 6.7e7
+symbols in about three minutes on a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -33,11 +36,19 @@ from pathlib import Path
 
 import numpy as np
 
-# (n_r, n_t, modulation): the default sweep's system, a tall one, and the small QPSK ones
-SYSTEMS = ((8, 8, "qam16"), (8, 6, "qam16"), (4, 4, "qpsk"), (4, 2, "qpsk"))
+# (n_r, n_t, modulation, vectors per call): the default sweep's system,
+# tall ones, the small QPSK ones, one stream, and a large system at a small batch
+SYSTEMS = (
+    (8, 8, "qam16", 1024),
+    (8, 6, "qam16", 1024),
+    (5, 3, "qam16", 1024),
+    (4, 4, "qpsk", 1024),
+    (4, 2, "qpsk", 1024),
+    (1, 1, "qpsk", 1024),
+    (16, 16, "qam16", 64),
+)
 SNRS_DB = (4.0, 9.0, 14.0, 19.0, 24.0, 29.0, 34.0)
 CORES = ("zf", "mmse")
-BATCH = 1024
 LOOPS = ("vblast_indices_batch", "recompute_indices_batch")
 
 
@@ -57,15 +68,15 @@ def load(src: Path, name: str):
     return module
 
 
-def draw(key: tuple, n_r: int, n_t: int, points: np.ndarray, noise_var: float):
-    """``(H, y)`` for ``BATCH`` vectors from the numpy stream ``key``:
+def draw(key: tuple, batch: int, n_r: int, n_t: int, points: np.ndarray, noise_var: float):
+    """``(H, y)`` for ``batch`` vectors from the numpy stream ``key``:
     unit-variance Rayleigh channels, uniform symbols and white noise of
     variance ``noise_var`` per entry."""
     rng = np.random.default_rng(key)
     cn = lambda shape, var: np.sqrt(var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    h = cn((BATCH, n_r, n_t), 1.0)
-    x = points[rng.integers(0, len(points), (BATCH, n_t))]
-    return h, np.einsum("bij,bj->bi", h, x) + cn((BATCH, n_r), noise_var)
+    h = cn((batch, n_r, n_t), 1.0)
+    x = points[rng.integers(0, len(points), (batch, n_t))]
+    return h, np.einsum("bij,bj->bi", h, x) + cn((batch, n_r), noise_var)
 
 
 def main(argv: list[str]) -> int:
@@ -77,12 +88,12 @@ def main(argv: list[str]) -> int:
     trees = [load(src, f"osicsim_{side}") for src, side in ((args.old_src, "old"), (args.new_src, "new"))]
     differ = {"indices": 0, "orders": 0, "ok": 0}
     calls = symbols = 0
-    for n_r, n_t, mod in SYSTEMS:
+    for n_r, n_t, mod, batch in SYSTEMS:
         consts = [t.modem.get_constellation(mod) for t in trees]
         for point, snr_db in enumerate(SNRS_DB):
             snrs = [t.channel.SnrSpec(snr_db) for t in trees]
             for seed in range(args.seeds):
-                h, y = draw((seed, n_r, n_t, point), n_r, n_t, consts[0].points, snrs[0].noise_var)
+                h, y = draw((seed, n_r, n_t, point), batch, n_r, n_t, consts[0].points, snrs[0].noise_var)
                 for core, depth, loop in itertools.product(CORES, range(n_t), LOOPS):
                     (idx_a, ord_a, ok_a), (idx_b, ord_b, ok_b) = (
                         getattr(t.batched, loop)(h, y, core, depth, snr, c) for t, snr, c in zip(trees, snrs, consts)
@@ -99,7 +110,7 @@ def main(argv: list[str]) -> int:
                     for key, value in found.items():
                         differ[key] += value
                     calls += 1
-                    symbols += BATCH * n_t
+                    symbols += batch * n_t
     verdict = "same decisions" if not any(differ.values()) else "decisions differ"
     print(f"{verdict}: {differ['indices']} indices, {differ['orders']} orders and {differ['ok']} ok differ; "
           f"compared {calls:,} calls, {symbols:,} symbols")
