@@ -14,16 +14,20 @@ receiver, ``policy.feedback_detect``, restarts
 :func:`recompute_indices_batch` at each count up to the one the table
 resolved.
 
-The cores, ``NULLING_CORES``, share one nulling formula, written once in
-:func:`nulling_batch`: the regularized Gram inverse
-``P = (H^H H + lambda I)^-1`` with lambda = 0 for ZF and the noise
-variance for MMSE, ordering metric ``diag P`` and nulling matrix
-``G = P H^H``. :func:`nulling_batch` returns ``P`` itself rather than
-``G``. Every path slices with ``modem.slice_indices``, which this module
-re-exports. There are two OSIC loops. The complexity benchmark's
-:func:`recompute_indices_batch` is the paper's receiver: it recomputes
-``P`` and ``G = P H^H`` on the compacted, deflated channel at every
-iteration, so its cost scales like the recomputing algorithm's. The sweep
+The cores, ``NULLING_CORES``, share one nulling formula: the regularized
+Gram inverse ``P = (H^H H + lambda I)^-1`` with lambda = 0 for ZF and the
+noise variance for MMSE, ordering metric ``diag P`` and nulling matrix
+``G = P H^H``. The regularizer and the refusal of an unknown core are
+written once, in ``_regularizer``; :func:`nulling_batch` builds and
+inverts the Gram matrix and returns ``P`` itself rather than ``G``. Every
+path slices with ``modem.slice_indices``, which this module re-exports.
+There are two OSIC loops. The complexity benchmark's
+:func:`recompute_indices_batch` is the paper's receiver: it inverts the
+regularized Gram matrix of the deflated channel afresh at every
+iteration, so its cost scales like the recomputing algorithm's, but it
+builds the Gram matrix once and deletes each detected stream's row and
+column from it, and it forms only the nulling row ``P[j, :] H^H`` it
+applies; the whole ``G`` only for its final linear block. The sweep
 engine's :func:`vblast_indices_batch` inverts once per vector and never
 writes to that inverse: it works on the soft estimates ``s = P r`` of
 the matched-filter output ``r = H^H y``, as the recursive detectors it
@@ -40,7 +44,9 @@ orders, point indices and validity, pin each rebuilt column and metric
 to the inverse residual bound of ``linalg`` against the freshly deflated
 Gram matrix wherever a fresh Gauss-Jordan inverse meets that bound
 itself (condition number below 1e6), and pin ``s`` to a fresh solve of
-the cancelled problem. Ties in the ordering go to the lowest original
+the cancelled problem. They also pin the recomputing loop to the
+textbook one in ``tests/oracles.py``, which rebuilds the Gram matrix and
+the whole ``G`` at every iteration, on decisions and soft values. Ties in the ordering go to the lowest original
 stream index in both loops.
 
 Instead of raising on a rank-deficient instance, the batched routines
@@ -64,6 +70,16 @@ NULLING_CORES = ("zf", "mmse")
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
+def _regularizer(core: str, snr: SnrSpec) -> float:
+    """The nulling formula's lambda: 0 for ZF, the noise variance for MMSE.
+
+    Raises ``ValueError`` for a core outside ``NULLING_CORES``.
+    """
+    if core not in NULLING_CORES:
+        raise ValueError(f"unknown nulling core {core!r}")
+    return snr.noise_var if core == "mmse" else 0.0
+
+
 def nulling_batch(
     h: np.ndarray, core: str, snr: SnrSpec, hh: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,11 +100,8 @@ def nulling_batch(
     it; otherwise ``H^H`` is a temporary, freed before the inversion.
     ``detectors.nulling_matrix`` is this on a batch of one.
     """
-    if core not in NULLING_CORES:
-        raise ValueError(f"unknown nulling core {core!r}")
-    reg = snr.noise_var if core == "mmse" else 0.0
     gram = (h.conj().transpose(0, 2, 1) if hh is None else hh) @ h
-    p, ok = inverse_batch(gram, reg)
+    p, ok = inverse_batch(gram, _regularizer(core, snr))
     return p, np.diagonal(p, axis1=1, axis2=2).real.copy(), ok
 
 
@@ -200,13 +213,19 @@ def vblast_indices_batch(
 def recompute_indices_batch(
     h: np.ndarray, y: np.ndarray, core: str, iterations: int, snr: SnrSpec, c: Constellation
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched truncated V-BLAST that recomputes the nulling matrix at every iteration.
+    """Batched truncated V-BLAST that inverts the deflated Gram matrix afresh at every iteration.
 
     The paper's receiver; ``detectors.vblast_detect`` runs it on a batch
     of one and ``policy.feedback_detect`` once per candidate count. Each
-    iteration inverts the Gram matrix of the compacted, deflated channel
-    afresh, so its cost scales the way the recomputing algorithm does.
-    Returns ``(indices, orders, ok)`` as
+    iteration inverts the regularized Gram matrix of the deflated channel
+    with :func:`inverse_batch`, so its cost scales the way the
+    recomputing algorithm does, and it builds nothing else twice. The
+    Gram matrix ``H^H H`` is built once from the full channel; each
+    detection deletes the detected stream's row and column from it, and
+    its row from the kept ``H^H``, as it does from ``active``. An
+    iteration forms only the nulling row ``w_j = P[j, :] H^H`` of the
+    stream it detects; the whole ``G = P H^H`` is formed only for the
+    final linear block. Returns ``(indices, orders, ok)`` as
     :func:`vblast_indices_batch` does; ``ok`` is False wherever any of the
     inversions met a vanishing pivot.
     """
@@ -214,29 +233,33 @@ def recompute_indices_batch(
     y = np.array(y, dtype=np.complex128)  # a copy: cancelled in place
     batch, n_r, n_t = h.shape
     _check_depth(iterations, n_t)
+    reg = _regularizer(core, snr)
 
     rows = np.arange(batch)
     active = np.broadcast_to(np.arange(n_t), (batch, n_t))  # original indices of undetected streams
     out = np.zeros((batch, n_t), dtype=np.int64)
     orders = np.zeros((batch, iterations), dtype=np.int64)
     ok = np.ones(batch, dtype=bool)
+    hh = h.conj().transpose(0, 2, 1)  # row i is the conjugate of stream i's channel column
+    gram = hh @ h
     for it in range(iterations + 1):  # the last round is the final linear block
-        hh = h.conj().transpose(0, 2, 1)  # built once for the Gram matrix and G
-        g, metric, ok_it = nulling_batch(h, core, snr, hh)
+        p, ok_it = inverse_batch(gram, reg)
         ok &= ok_it
-        g = g @ hh  # G = P H^H; P is not kept into the next inversion
         if it == iterations:
             break
-        j = np.argmin(metric, axis=1)  # first minimum -> lowest original index
-        sidx = slice_indices((g[rows, j][:, None, :] @ y[:, :, None])[:, 0, 0], c)
+        j = np.argmin(np.diagonal(p, axis1=1, axis2=2).real, axis=1)  # first minimum -> lowest original index
+        w = p[rows, j][:, None, :] @ hh  # the nulling row P[j, :] H^H, (batch, 1, n_r)
+        sidx = slice_indices((w @ y[:, :, None])[:, 0, 0], c)
         orders[:, it] = active[rows, j]
         out[rows, orders[:, it]] = sidx
-        y -= h[rows, :, j] * c.points[sidx][:, None]
+        y -= hh[rows, j].conj() * c.points[sidx][:, None]
         keep = np.ones(active.shape, dtype=bool)
         keep[rows, j] = False
-        active = active[keep].reshape(batch, -1)
-        h = h[np.broadcast_to(keep[:, None, :], h.shape)].reshape(batch, n_r, -1)
-    out[rows[:, None], active] = slice_indices((g @ y[:, :, None])[:, :, 0], c)
+        k = n_t - it - 1  # streams left
+        active = active[keep].reshape(batch, k)
+        hh = hh[keep].reshape(batch, k, n_r)
+        gram = gram[keep[:, :, None] & keep[:, None, :]].reshape(batch, k, k)
+    out[rows[:, None], active] = slice_indices((p @ hh @ y[:, :, None])[:, :, 0], c)
     return out, orders, ok
 
 

@@ -33,10 +33,11 @@ and the ``inverse`` import, stay only for the benchmark's bindings and the
 tests of their contract.
 Cancellation removes the detected column physically (with an index map
 back to original stream order) rather than zeroing it: a zeroed column
-would make the deflated Gram matrix singular. The nulling matrix is
-recomputed from scratch on every deflation; no rank-one update
-shortcuts are used, so measured cost scales the way the recomputing
-algorithm is specified to.
+would make the deflated Gram matrix singular. The loop deletes the
+detected stream's row and column from the Gram matrix it built once,
+and inverts the deflated Gram matrix from scratch on every deflation; no
+rank-one update shortcuts are used, so measured cost scales the way the
+recomputing algorithm is specified to.
 """
 
 from __future__ import annotations

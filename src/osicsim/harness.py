@@ -61,10 +61,14 @@ only way to make them flake.
 Complexity benchmarks
 ---------------------
 ``bench_complexity`` times whole batches of detections on
-``batched.recompute_indices_batch``, which inverts the Gram matrix of the
-deflated channel afresh at every iteration, as the paper's receiver does;
-the sweep engine's soft-estimate loop, which inverts once per vector,
-would hide the cost of deeper truncation. Each (variant, SNR) cell keeps
+``batched.recompute_indices_batch``, which inverts the regularized Gram
+matrix of the deflated channel afresh at every iteration, as the paper's
+receiver does; the sweep engine's soft-estimate loop, which inverts once
+per vector, would hide the cost of deeper truncation. The receiver
+builds the Gram matrix once per call and deletes a row and a column per
+detection, and each iteration forms only the one nulling row it applies,
+so the fresh inversions are most of what deeper truncation adds to a
+detection's time. Each (variant, SNR) cell keeps
 the fastest of ``BENCH_REPEATS`` timings of one batch and divides it by
 the batch size.
 The feedback variant is ``policy.feedback_detect`` at the count the

@@ -35,6 +35,7 @@ from osicsim.channel import SnrSpec, gen_channel_batch, gen_noise_batch, make_st
 from osicsim.detectors import nulling_matrix, vblast_detect
 from osicsim.linalg import RankDeficiencyError, SingularMatrixError, _inverse_pivoting_batch, inverse
 from osicsim.modem import QAM16, QPSK
+from oracles import recompute_reference
 
 
 def random_batch(seed, batch, n_r, n_t, snr, c):
@@ -292,6 +293,51 @@ class TestRecomputeBatch:
         h, _, _, y = random_batch(76, 4, 4, 4, snr, QPSK)
         with pytest.raises(ValueError, match="iterations -1 is negative"):
             recompute_indices_batch(h, y, "mmse", -1, snr, QPSK)
+
+class TestRecomputeReference:
+    """``recompute_indices_batch`` builds the Gram matrix once, deletes the
+    detected row and column from it, and forms only the nulling row it
+    applies; ``oracles.recompute_reference`` rebuilds the Gram matrix and
+    the whole ``G = P H^H`` at every iteration. The shapes of the BLAS
+    products differ, so the soft values may differ in their last bits, but
+    no decision does."""
+
+    @pytest.mark.parametrize("batch", [1, 100, 1024])
+    @pytest.mark.parametrize("n_r, n_t, c", [(8, 8, QAM16), (8, 6, QAM16), (4, 4, QPSK)])
+    @pytest.mark.parametrize("core", ["zf", "mmse"])
+    def test_same_decisions_and_soft_values_as_reference(self, core, n_r, n_t, c, batch, monkeypatch):
+        """The same indices, orders and ``ok`` at every depth; and on draws
+        whose regularized Gram matrix has a condition number below 1e6, every
+        soft value the loop slices (each detection's, then the final
+        block's) within 1e-9 of the reference's, relative. Both sides carry
+        rounding of about eps cond = 2.2e-10 at that condition; measured
+        worst 1.6e-12 on these draws and 1.8e-11 over wider random draws of
+        these systems and batch sizes."""
+        sliced = []
+        slice_ = batched.slice_indices
+
+        def recording(z, c):
+            sliced.append(z.copy())
+            return slice_(z, c)
+
+        monkeypatch.setattr(batched, "slice_indices", recording)
+        for draw in range(16 if batch == 1 else 1):
+            for point, snr_db in enumerate((4.0, 19.0, 34.0)):
+                snr = SnrSpec(snr_db)
+                h, _, _, y = random_batch(300 + 3 * draw + point, batch, n_r, n_t, snr, c)
+                domain = np.linalg.cond(regularized_gram(h, core, snr)) < 1e6
+                for iters in range(n_t):
+                    sliced.clear()
+                    soft = []
+                    want = recompute_reference(h, y, core, iters, snr, c, soft)
+                    got = recompute_indices_batch(h, y, core, iters, snr, c)
+                    assert want[2].all()
+                    for w, g in zip(want, got, strict=True):
+                        assert np.array_equal(w, g), (snr_db, iters)
+                    assert len(sliced) == len(soft) == iters + 1
+                    for z, z_ref in zip(sliced, soft):
+                        assert np.all(np.abs(z - z_ref)[domain] <= 1e-9 * np.abs(z_ref)[domain]), (snr_db, iters)
+
 
 def record_steps(monkeypatch):
     """Wraps ``batched._cancel_stream`` so that each detection of

@@ -1,6 +1,6 @@
 """``tools/same_decisions.py`` on a tiny grid: one tree against itself,
 and against itself with a perturbed slicer; and every system of its grid
-at one SNR and a small batch."""
+at one SNR and a batch of at most 16 vectors."""
 
 import importlib.util
 from pathlib import Path
@@ -49,12 +49,12 @@ def test_differences_are_reported(monkeypatch, capsys):
 
 
 def test_every_system_of_the_grid_runs(monkeypatch, capsys):
-    systems = [(n_r, n_t, mod, 16) for n_r, n_t, mod, _ in same_decisions.SYSTEMS]
+    systems = [(n_r, n_t, mod, min(batch, 16)) for n_r, n_t, mod, batch in same_decisions.SYSTEMS]
     monkeypatch.setattr(same_decisions, "SYSTEMS", tuple(systems))
     monkeypatch.setattr(same_decisions, "SNRS_DB", (10.0,))
     assert same_decisions.main([SRC, SRC, "--seeds", "1"]) == 0
     calls = sum(2 * n_t * 2 for _, n_t, _, _ in systems)  # cores x depths x loops
-    symbols = sum(2 * n_t * 2 * 16 * n_t for _, n_t, _, _ in systems)
+    symbols = sum(2 * n_t * 2 * batch * n_t for _, n_t, _, batch in systems)
     assert capsys.readouterr().out.splitlines() == [
         f"same decisions: 0 indices, 0 orders and 0 ok differ; compared {calls:,} calls, {symbols:,} symbols"
     ]
