@@ -30,6 +30,7 @@ time-domain OFDM processing (IFFT, cyclic prefix) is performed.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,18 @@ def link_snr(snr_db: float, n_t: int) -> SnrSpec:
     ``10 log10(n_t)`` dB. The iteration-threshold calibration this package
     reproduces only lines up under this normalisation; the per-stream
     alternative shifts every BER curve left by the same offset.
+
+    Raises ``ValueError`` for an SNR whose derated noise variance is not
+    a positive finite float, the one domain rule of every SNR a run or a
+    policy reads: a non-finite SNR, or one past about +-3080 dB.
     """
     if n_t < 1:
         raise ValueError(f"n_t must be positive, got {n_t}")
-    return SnrSpec(snr_db - 10.0 * math.log10(n_t))
+    spec = SnrSpec(snr_db - 10.0 * math.log10(n_t))
+    with suppress(OverflowError, ZeroDivisionError):  # the linear SNR overflows or underflows
+        if 0.0 < spec.noise_var < math.inf:
+            return spec
+    raise ValueError(f"need a finite SNR whose noise variance at n_t = {n_t} is a positive finite float, got {snr_db} dB")
 
 
 def make_stream(seed: int, stream: int) -> np.random.Generator:

@@ -26,18 +26,22 @@ The detector returns constellation point indices, which equal the
 integer values of the Gray labels.
 
 The loop itself is ``batched.recompute_indices_batch`` and the formula
-``batched.nulling_batch``, the package's one recomputing OSIC loop and
-one nulling formula: :func:`vblast_detect` and :func:`nulling_matrix`
-run them on a batch of one and raise where the engine flags. Both names,
-and the ``inverse`` import, stay only for the benchmark's bindings and the
+``batched.nulling_batch``, the package's one OSIC loop and one nulling
+formula: :func:`vblast_detect` and :func:`nulling_matrix` run them on a
+batch of one and raise where the engine flags. Both names, and the
+``inverse`` import, stay only for the benchmark's bindings and the
 tests of their contract.
-Cancellation removes the detected column physically (with an index map
+The loop computes the nulling and cancellation above without forming
+``g_k`` or touching ``y``: it keeps the soft estimates ``s = D r`` of
+``r = H^H y`` and, per detection, updates them from column ``k`` of the
+current ``D``, which gives the same soft values in exact arithmetic.
+Cancellation removes the detected stream physically (with an index map
 back to original stream order) rather than zeroing it: a zeroed column
 would make the deflated Gram matrix singular. The loop deletes the
 detected stream's row and column from the Gram matrix it built once,
-and inverts the deflated Gram matrix from scratch on every deflation; no
-rank-one update shortcuts are used, so measured cost scales the way the
-recomputing algorithm is specified to.
+and inverts the deflated Gram matrix from scratch on every deflation;
+the inverse is never updated in place of a fresh inversion, so measured
+cost scales the way the recomputing algorithm is specified to.
 """
 
 from __future__ import annotations

@@ -66,11 +66,11 @@ matrix of the deflated channel afresh at every iteration, as the paper's
 receiver does; the sweep engine's soft-estimate loop, which inverts once
 per vector, would hide the cost of deeper truncation. The receiver
 builds the Gram matrix once per call and deletes a row and a column per
-detection, and each iteration forms only the one nulling row it applies,
-so the fresh inversions are most of what deeper truncation adds to a
-detection's time. Each (variant, SNR) cell keeps
-the fastest of ``BENCH_REPEATS`` timings of one batch and divides it by
-the batch size.
+detection, and each detection updates the soft estimates from one
+column of the fresh inverse, so the fresh inversions are most of what
+deeper truncation adds to a detection's time. Each (variant, SNR) cell
+keeps the fastest of ``BENCH_REPEATS`` timings of one batch and divides
+it by the batch size.
 The feedback variant is ``policy.feedback_detect`` at the count the
 point's estimate resolves to, which runs a full pass at each depth
 ``1 .. n_i`` and therefore pays for its restarts. Benchmarking always
@@ -169,6 +169,8 @@ _PILOT_STREAM_BASE = 2**32
 MIN_SYMBOLS_FLOOR = 10_000
 MIN_ERRORS_FLOOR = 100
 SYMBOL_BUDGET_FACTOR = 100
+# so that a cell's symbol budget, SYMBOL_BUDGET_FACTOR * min_symbols, fits int64
+_MIN_SYMBOLS_MAX = np.iinfo(np.int64).max // SYMBOL_BUDGET_FACTOR
 
 BENCH_WARMUP_CALLS = 100
 # each bench cell times its batch this many times and keeps the fastest
@@ -209,20 +211,22 @@ class SweepConfig:
             raise ConfigError(f"need n_r >= n_t >= 1, got n_r={self.n_r}, n_t={self.n_t}")
         if self.subcarriers < 1:
             raise ConfigError(f"subcarriers must be >= 1, got {self.subcarriers}")
-        try:
-            get_constellation(self.modulation)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.core not in NULLING_CORES:
             raise ConfigError(f"unknown core {self.core!r}, expected one of {NULLING_CORES}")
         if len(self.snr_db_list) == 0:
             raise ConfigError("snr_db_list must not be empty")
         if not all(math.isfinite(s) for s in self.snr_db_list):
             raise ConfigError(f"snr_db_list entries must be finite, got {list(self.snr_db_list)}")
+        try:  # the modulation and every SNR lie in the domains of the helpers that read them
+            get_constellation(self.modulation)
+            for snr_db in self.snr_db_list:
+                link_snr(snr_db, self.n_t)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if len(set(self.snr_db_list)) < len(self.snr_db_list):
             raise ConfigError(f"snr_db_list has duplicate points: {list(self.snr_db_list)}")
-        if self.min_symbols < MIN_SYMBOLS_FLOOR:
-            raise ConfigError(f"min_symbols must be >= {MIN_SYMBOLS_FLOOR}, got {self.min_symbols}")
+        if not (MIN_SYMBOLS_FLOOR <= self.min_symbols <= _MIN_SYMBOLS_MAX):
+            raise ConfigError(f"min_symbols must lie in [{MIN_SYMBOLS_FLOOR}, {_MIN_SYMBOLS_MAX}], got {self.min_symbols}")
         if self.min_errors < MIN_ERRORS_FLOOR:
             raise ConfigError(f"min_errors must be >= {MIN_ERRORS_FLOOR}, got {self.min_errors}")
         if not (0 <= self.seed < 2**64):  # a Philox key is an unsigned 64-bit integer

@@ -39,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .batched import recompute_indices_batch
+from .channel import link_snr
 
 # Unused here: the benchmark's tracer wraps this module's ``vblast_detect``
 # binding (span ``detectors.vblast_detect``) until its per-layer metrics
@@ -75,8 +76,7 @@ def formula_iters(snr_db: float, n_t: int) -> int:
     """Closed-form iteration count for the operating SNR (nominal dB axis)."""
     if n_t < 2:
         raise ValueError(f"formula_iters needs n_t >= 2, got {n_t}")
-    if not math.isfinite(snr_db):
-        raise ValueError(f"formula_iters needs a finite SNR, got {snr_db}")
+    link_snr(snr_db, n_t)  # refuses an SNR outside the domain of the runs
     return min(n_imax(n_t), max(1, _round_half_away((53.0 - 2.0 * snr_db) / 3.0)))
 
 
@@ -208,11 +208,13 @@ class CalibrationTable:
                     continue
                 try:
                     s, n, b, m = line.split(",")
-                    rows.append((float(s), int(n), float(b), int(m)))
+                    rows.append((float(s), np.int64(int(n)), float(b), np.int64(int(m))))
                 except ValueError:
                     raise CalibrationError(
                         f"{path}:{ln}: expected snr_db,n_i,ber,symbols (numbers; n_i and symbols integers), got {line!r}"
                     ) from None
+                except OverflowError:  # from np.int64
+                    raise CalibrationError(f"{path}:{ln}: n_i and symbols must fit int64, got {line!r}") from None
         if not rows:
             raise CalibrationError(f"no data rows in calibration file {path}")
         arr = list(zip(*rows))

@@ -9,11 +9,14 @@ tie the lowest candidate wins.
 
 The textbook recomputing V-BLAST loop, :func:`recompute_reference`: at
 every iteration it builds the Gram matrix of the compacted, deflated
-channel and the whole nulling matrix ``G = P H^H`` afresh, as the
-algorithm is usually written. ``batched.recompute_indices_batch`` keeps
-the Gram matrix and deletes rows and columns from it, and forms only the
-nulling row it applies, so the two differ in the last bits of their soft
-values but not in their decisions.
+channel and the whole nulling matrix ``G = P H^H`` afresh, nulls ``y``
+with the detected stream's row of ``G`` and cancels the decision in
+``y``, as the algorithm is usually written.
+``batched.recompute_indices_batch`` keeps the Gram matrix and deletes
+rows and columns from it, and updates the soft estimates ``P H^H y``
+from a column of each fresh inverse instead of nulling and cancelling
+in ``y``, so the two differ in the last bits of their soft values but
+not in their decisions.
 """
 
 from itertools import product

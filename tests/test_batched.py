@@ -1,19 +1,20 @@
-"""The batched detection kernels: one engine, two OSIC loops.
+"""The batched detection kernels: one engine, one OSIC loop, two receivers.
 
 The scalar names ``detectors.nulling_matrix`` and
 ``detectors.vblast_detect`` are batch-of-one views of these kernels, and
 ``linalg.inverse`` one of the partial-pivoting loop, so an instance's
 result must not depend on the batch around it. The engine inverts with
 diagonal pivots; swapping in the partial-pivoting loop changes no
-decision. The sweep
-engine's soft-estimate loop and the recomputing loop are different
-algorithms for the same receiver; they must agree on the whole batch (same
-validity, ordering and point indices). The soft-estimate loop inverts the
-Gram matrix once and never writes to that inverse: per detected stream it
-rebuilds one column of the deflated inverse from stored factors and
-updates the soft estimates ``s = P r`` and the metric ``diag P``, so the
-column, the metric and ``s`` are each checked against freshly deflated
-Gram matrices.
+decision. The sweep engine and the recomputing receiver run the same
+soft-estimate loop and differ only in the source of the inverse's
+columns: the sweep engine inverts the Gram matrix once, never writes to
+that inverse, and per detected stream rebuilds one column of the
+deflated inverse from stored factors; the recomputing receiver inverts
+the deflated Gram matrix afresh after every detection. They must agree
+on the whole batch (same validity, ordering and point indices). The
+rebuilt column, the metric ``diag P`` and the soft estimates ``s = P r``
+are each checked against freshly deflated Gram matrices, and the
+recomputing receiver against the textbook loop of ``tests/oracles.py``.
 """
 
 import numpy as np
@@ -293,6 +294,29 @@ class TestRecomputeBatch:
         h, _, _, y = random_batch(76, 4, 4, 4, snr, QPSK)
         with pytest.raises(ValueError, match="iterations -1 is negative"):
             recompute_indices_batch(h, y, "mmse", -1, snr, QPSK)
+
+
+class TestNonFiniteInstances:
+    """An instance with a NaN channel entry or an infinite channel column is
+    flagged, not fatal, in both receivers at every depth, and the other
+    instances' outputs are those of the batch without it. Once the sweep
+    engine's metric goes NaN, its first minimum may name a stream it
+    already detected."""
+
+    @pytest.mark.parametrize("loop", [vblast_indices_batch, recompute_indices_batch])
+    @pytest.mark.parametrize("core", ["zf", "mmse"])
+    def test_flagged_and_others_unchanged(self, loop, core):
+        snr = SnrSpec(18.0)
+        h, _, _, y = random_batch(77, 16, 8, 8, snr, QAM16)
+        h[3, 2, 5] = np.nan
+        h[9, :, 1] = np.inf
+        good = [b for b in range(16) if b not in (3, 9)]
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            for iters in range(8):
+                got = loop(h, y, core, iters, snr, QAM16)
+                assert got[2].tolist() == [b in good for b in range(16)], iters
+                for w, g in zip(loop(h[good], y[good], core, iters, snr, QAM16), got, strict=True):
+                    assert np.array_equal(w, g[good]), iters
 
 class TestRecomputeReference:
     """``recompute_indices_batch`` builds the Gram matrix once, deletes the

@@ -640,6 +640,19 @@ class TestBoundaryValues:
         assert res.exit_code != 0
         assert "finite SNR" in res.output
 
+    @pytest.mark.parametrize("command, snr", [
+        ("ber-sweep", "3100"), ("ber-sweep", "-1e300"), ("formula-eval", "1e308"), ("formula-eval", "-1e308"),
+    ])
+    def test_snr_outside_the_noise_variance_domain(self, tmp_path, command, snr):
+        # finite, but the derated linear SNR overflows or underflows
+        out = ["--out", str(tmp_path / "o")] if command == "ber-sweep" else []
+        res = CliRunner().invoke(main, [command, f"--snr={snr}", *out])
+        assert res.exit_code == 1
+        assert res.output.splitlines() == [
+            f"Error: need a finite SNR whose noise variance at n_t = 8 is a positive finite float, got {float(snr)} dB"
+        ]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", [["calibrate"], ["ber-sweep", "--policy", "formula"]])
     @pytest.mark.parametrize("target", ["0.7", "0.5"])
     def test_target_ber_has_one_domain(self, tmp_path, command, target):

@@ -79,6 +79,13 @@ class TestSweepConfig:
             with pytest.raises(ConfigError, match=f"n_t and n_r must be <= {top}, got n_t={n_t}, n_r={n_r}"):
                 SweepConfig(n_t=n_t, n_r=n_r).validate()
 
+    def test_symbol_budget_fits_int64(self):
+        top = np.iinfo(np.int64).max // SYMBOL_BUDGET_FACTOR
+        small_cfg(min_symbols=top).validate()
+        for too_many in (top + 1, 10**20):
+            with pytest.raises(ConfigError, match=f"min_symbols must lie in \\[10000, {top}\\], got {too_many}"):
+                small_cfg(min_symbols=too_many).validate()
+
     def test_invariants_enforced(self):
         with pytest.raises(ConfigError, match="n_r >= n_t"):
             small_cfg(n_t=6, n_r=4).validate()

@@ -165,6 +165,15 @@ class TestCalibrationTable:
             f"{path}:4: expected snr_db,n_i,ber,symbols (numbers; n_i and symbols integers), got {row!r}"
         )
 
+    @pytest.mark.parametrize("row", ["22,1,1e-3,9223372036854775808", "22,-9223372036854775809,1e-3,1000"],
+                             ids=["symbols", "n_i"])
+    def test_integer_outside_int64_names_its_line(self, tmp_path, row):
+        path = tmp_path / "calib.csv"
+        path.write_text(f"# mod=qam16 nt=8 nr=8 core=mmse\nsnr_db,n_i,ber,symbols\n20,1,1e-2,1000\n{row}\n")
+        with pytest.raises(CalibrationError) as info:
+            CalibrationTable.load_csv(path)
+        assert str(info.value) == f"{path}:4: n_i and symbols must fit int64, got {row!r}"
+
     def test_committed_bench_table_loads(self):
         path = Path(__file__).resolve().parent.parent / "bench" / "calib_8x8_qam16.csv"
         t = CalibrationTable.load_csv(path)

@@ -1,22 +1,23 @@
 """Check that two ``osicsim`` source trees make the same detection decisions.
 
-Loads the package of each tree under a name of its own and runs both OSIC
-loops, ``batched.vblast_indices_batch`` (the sweep engine's, which
-inverts once and updates soft estimates) and
-``batched.recompute_indices_batch`` (the recomputing receiver's), on the
-same inputs. The grid is every system of ``SYSTEMS`` x both nulling cores
+Loads the package of each tree under a name of its own and runs both
+receivers, ``batched.vblast_indices_batch`` (the sweep engine, which
+inverts once) and ``batched.recompute_indices_batch`` (the recomputing
+receiver, which inverts afresh after every detection), on the same
+inputs. The grid is every system of ``SYSTEMS`` x both nulling cores
 x ``SNRS_DB`` x every depth from 0 to ``n_t - 1`` x ``--seeds`` seeds,
 with the system's batch of vectors per call. The systems span the shapes
 the engine's flat batch-last gathers depend on: one stream, fewer streams
 than receive antennas, square systems from 4 to 16 streams. They also
-span the batch sizes whose BLAS paths the recomputing receiver's
-per-instance products, such as its ``(1 x k)(k x n_r)`` nulling row,
-depend on: one vector per call (the scalar receiver's), 100 (the
-complexity bench's default) and 1,024 (the sweep engine's). Channels,
-symbols and noise are drawn here with numpy, so both trees see the same
-inputs whatever their own draw does. For each call it compares the
-validity masks, and the detected point indices and detection orders
-wherever both trees set the mask.
+span batch sizes, since the shapes of the recomputing receiver's fresh
+inversions and of its compaction of the Gram matrix, the soft
+estimates and the stream map all depend on the batch: one vector per
+call (the scalar receiver's), 100 (the ``bench-8x8-qam16`` workload's)
+and 1,024 (the sweep engine's). Channels, symbols and noise are drawn
+here with numpy, so both trees see the same inputs whatever their own
+draw does. For each call it compares the validity masks, and the
+detected point indices and detection orders wherever both trees set the
+mask.
 
 Usage, from the repository root:
 
@@ -24,7 +25,7 @@ Usage, from the repository root:
 
 Prints each call that differs, then on every exit a summary: the number
 of differing entries of indices, orders and masks, the calls compared
-(one per tree each) and the symbols compared (both loops counted). Exits
+(one per tree each) and the symbols compared (both receivers counted). Exits
 1 if anything differs, else 0. The default 16 seeds compare 7.0e7
 symbols (25,088 calls) in about three and a half minutes on a 2-core
 Xeon.
